@@ -20,7 +20,9 @@ cargo test -q --test failover
 # every workload/example/config, and the static lint must agree with the
 # dynamic guard sanitizer over the randomized corpus — including the
 # 200-seed interprocedural sweep that runs every on/off combination of
-# {interproc, call_aware_kills, guard_motion} against a LocalMem oracle.
+# {interproc, call_aware_kills, guard_motion} against a LocalMem oracle,
+# and the 200-seed loop-nest sweep that runs stream_motion off and on
+# against a LocalMem oracle (motion never pays more locality guards).
 cargo test -q --test lint_gate
 cargo test -q --test random_programs
 # Tracing suite: causal decomposition of guard latency under chaos,
@@ -57,5 +59,10 @@ for bench in guard_elision guard_motion fault_overhead trace_overhead \
     *) cargo bench -q -p tfm-bench --bench "$bench" ;;
     esac
 done
+
+# Benchmark self-check: the perfbench package (its own workspace) repeats
+# bit-identically, its exact open-loop replay matches execute_open_loop,
+# and its metric names match BENCHMARK.json.
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 cargo clippy --workspace --all-targets -- -D warnings

@@ -21,12 +21,16 @@ fn main() {
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
     for f in fractions() {
+        // The paper's compiler: no chunk-stream motion on any arm.
         let mut base = RunConfig::trackfm(f);
         base.compiler.chunking = ChunkingMode::Off;
+        base.compiler.stream_motion = false;
         let mut all = RunConfig::trackfm(f);
         all.compiler.chunking = ChunkingMode::AllLoops;
+        all.compiler.stream_motion = false;
         let mut model = RunConfig::trackfm(f);
         model.compiler.chunking = ChunkingMode::CostModel;
+        model.compiler.stream_motion = false;
 
         let rb = execute(&spec, &base);
         let ra = execute(&spec, &all);

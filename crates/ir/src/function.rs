@@ -328,6 +328,36 @@ impl Function {
         }
     }
 
+    /// Deletes block `b`, which must be empty and unreferenced (no branch
+    /// targets it, no phi names it). Every later block's id shifts down by
+    /// one; instruction `Value` ids are unchanged.
+    ///
+    /// # Panics
+    /// Panics if `b` is the entry block or still holds instructions.
+    pub fn remove_block(&mut self, b: Block) {
+        assert!(b != self.entry, "cannot remove the entry block");
+        assert!(
+            self.blocks[b.index()].insts.is_empty(),
+            "{b} still holds instructions"
+        );
+        self.blocks.remove(b.index());
+        let shift = |x: &mut Block| {
+            if x.index() > b.index() {
+                *x = Block(x.0 - 1);
+            }
+        };
+        shift(&mut self.entry);
+        for data in &mut self.insts {
+            shift(&mut data.block);
+            data.kind.for_each_successor_mut(shift);
+            if let InstKind::Phi(incs) = &mut data.kind {
+                for (p, _) in incs {
+                    shift(p);
+                }
+            }
+        }
+    }
+
     /// Merges straight-line block `b` into `a`.
     ///
     /// The caller must guarantee: `a` ends in `br b`, `a` is `b`'s only
@@ -509,5 +539,31 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn remove_block_renumbers_later_blocks() {
+        // `dead` is empty and unreferenced; e -> b2 -> hdr, a self-loop
+        // whose phi names b2 and hdr. Both shift down one id.
+        let mut f = Function::new("r", Signature::new(vec![], None));
+        let e = f.entry_block();
+        let dead = f.create_block();
+        let b2 = f.create_block();
+        let hdr = f.create_block();
+        let c = f.push_inst(e, inst(InstKind::ConstInt(0), Some(Type::I64)));
+        f.push_inst(e, inst(InstKind::Br(b2), None));
+        f.push_inst(b2, inst(InstKind::Br(hdr), None));
+        let phi = f.push_inst(hdr, inst(InstKind::Phi(vec![(b2, c)]), Some(Type::I64)));
+        f.add_phi_incoming(phi, hdr, phi);
+        let back = f.push_inst(hdr, inst(InstKind::Br(hdr), None));
+        f.remove_block(dead);
+        assert_eq!(f.num_blocks(), 3);
+        let (b2, hdr) = (Block(1), Block(2));
+        assert_eq!(f.succs(e), vec![b2]);
+        assert_eq!(f.succs(b2), vec![hdr]);
+        assert_eq!(f.inst(phi).block, hdr);
+        assert_eq!(*f.kind(phi), InstKind::Phi(vec![(b2, c), (hdr, phi)]));
+        assert_eq!(*f.kind(back), InstKind::Br(hdr));
+        assert_eq!(f.block_insts(hdr), &[phi, back]);
     }
 }

@@ -313,6 +313,8 @@ pub fn analytics(p: &AnalyticsParams) -> WorkloadSpec {
 mod tests {
     use super::*;
     use crate::runner::{collect_profile, execute, execute_with_profile, RunConfig};
+    use tfm_ir::{InstKind, Intrinsic};
+    use tfm_telemetry::SiteKey;
     use trackfm::ChunkingMode;
 
     fn small() -> AnalyticsParams {
@@ -333,13 +335,17 @@ mod tests {
 
     #[test]
     fn selective_chunking_beats_all_loops() {
-        // Fig. 15: chunking the short per-group loops hurts.
+        // Fig. 15: chunking the short per-group loops hurts. Both arms are
+        // the paper's compiler: chunk-stream motion would let the all-loops
+        // arm resume the per-group stream instead of paying for it.
         let spec = analytics(&small());
         let profile = collect_profile(&spec);
         let mut all = RunConfig::trackfm(0.5);
         all.compiler.chunking = ChunkingMode::AllLoops;
+        all.compiler.stream_motion = false;
         let mut model = RunConfig::trackfm(0.5);
         model.compiler.chunking = ChunkingMode::CostModel;
+        model.compiler.stream_motion = false;
         let r_all = execute(&spec, &all);
         let r_model = execute_with_profile(&spec, &model, Some(&profile));
         assert!(
@@ -347,5 +353,59 @@ mod tests {
             "model-filtered chunking must beat indiscriminate chunking"
         );
         assert!(r_model.report.unwrap().chunking.skipped_low_benefit > 0);
+    }
+
+    #[test]
+    fn stream_motion_pays_q4_guards_per_object_not_per_group() {
+        // Q4 scans `offs` once per group and `rows` in short per-group runs
+        // that follow one another. With the `rows` stream held open across
+        // groups, each Q4 stream pays at most one locality guard per object
+        // its array spans (plus one for an unaligned start), not one per
+        // group.
+        let p = small();
+        let spec = analytics(&p);
+        let cfg = RunConfig::trackfm(0.5).with_telemetry(true);
+        let out = execute(&spec, &cfg);
+        let rep = out.report.as_ref().unwrap();
+        assert_eq!(
+            rep.chunking.streams_hoisted, 1,
+            "{:?}",
+            rep.chunking.hoisted
+        );
+
+        // The run compiled a clone of the module; compiling another clone
+        // the same way yields the same value ids, so the `tfm.chunk.deref`
+        // sites of the streams over `offs` (param 5) and `rows` (param 6)
+        // can be found by their handles' bases.
+        let mut m = spec.module.clone();
+        trackfm::TrackFmCompiler::new(cfg.compiler).compile(&mut m, None);
+        let main = m.find_function("main").unwrap();
+        let f = m.function(main);
+        let sites = &out.telemetry.as_ref().unwrap().sites;
+        let object = cfg.object_size;
+        for (param, bytes) in [(5, (p.groups as u64 + 1) * 8), (6, p.rows as u64 * 8)] {
+            let mut guards = 0;
+            for v in f.live_insts() {
+                let InstKind::IntrinsicCall {
+                    intr: Intrinsic::ChunkDeref,
+                    args,
+                } = f.kind(v)
+                else {
+                    continue;
+                };
+                let InstKind::IntrinsicCall { args: begin, .. } = f.kind(args[0]) else {
+                    unreachable!("chunk handles are chunk.begin results")
+                };
+                if begin[0] == f.param(param) {
+                    let s = sites.get(SiteKey::new(main.0, v.index() as u32)).unwrap();
+                    guards += s.slow_local + s.slow_remote;
+                }
+            }
+            let spanned = bytes.div_ceil(object) + 1;
+            assert!(
+                guards > 0 && guards <= spanned,
+                "param {param}: {guards} locality guards over {spanned} objects"
+            );
+        }
     }
 }

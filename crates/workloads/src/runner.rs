@@ -395,6 +395,14 @@ pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> 
     if outcome.result.engine.lowered_fns > 0 {
         rep.push_meta("engine", "bytecode");
     }
+    // Likewise only when chunk-stream motion moved something.
+    if let Some(r) = outcome
+        .report
+        .as_ref()
+        .filter(|r| r.chunking.streams_hoisted > 0)
+    {
+        rep.push_meta("streams_hoisted", r.chunking.streams_hoisted);
+    }
     rep.push_section(&outcome.result.stats);
     if outcome.result.engine.lowered_fns > 0 {
         rep.push_section(&outcome.result.engine);
@@ -614,6 +622,32 @@ mod tests {
             "every absorbed guard must be attributed to a surviving site"
         );
         assert!(attributed >= report.elision.eliminated as u64 / 2);
+    }
+
+    #[test]
+    fn hoisted_stream_count_reaches_the_report_meta() {
+        // Analytics Q4's per-group stream climbs into the group loop's
+        // preheader; STREAM sum has no nest, and its meta stays as it was.
+        let meta = |spec: &WorkloadSpec| {
+            let (_, rep) = execute_with_report(spec, &RunConfig::trackfm(0.5));
+            let json = Json::parse(&rep.to_json().to_string_pretty()).unwrap();
+            let hoisted = json
+                .get("meta")
+                .and_then(|m| m.get("streams_hoisted"))
+                .map(|v| v.as_str().unwrap().to_string());
+            (hoisted, rep.render())
+        };
+        let (hoisted, text) = meta(&crate::analytics::analytics(
+            &crate::analytics::AnalyticsParams {
+                rows: 4096,
+                groups: 64,
+            },
+        ));
+        assert_eq!(hoisted.as_deref(), Some("1"));
+        assert!(text.contains("streams_hoisted=1"), "{text}");
+        let (hoisted, text) = meta(&stream::sum(&StreamParams { elems: 16 << 10 }));
+        assert_eq!(hoisted, None);
+        assert!(!text.contains("streams_hoisted"));
     }
 
     #[test]

@@ -30,17 +30,24 @@ fn main() {
     let local = execute(&spec, &RunConfig::local());
     let base = local.result.stats.cycles as f64;
 
+    // The paper's compiler on every compiled arm: chunk-stream motion (on
+    // by default) would let the all-loops arm resume the per-group streams.
     let mut no_chunk = RunConfig::trackfm(frac);
     no_chunk.compiler.chunking = ChunkingMode::Off;
+    no_chunk.compiler.stream_motion = false;
     let mut all = RunConfig::trackfm(frac);
     all.compiler.chunking = ChunkingMode::AllLoops;
-    let model = RunConfig::trackfm(frac); // CostModel is the default
+    all.compiler.stream_motion = false;
+    let mut model = RunConfig::trackfm(frac); // CostModel is the default
+    model.compiler.stream_motion = false;
 
     let r_none = execute(&spec, &no_chunk);
     let r_all = execute(&spec, &all);
     let r_model = execute_with_profile(&spec, &model, Some(&profile));
     let r_fsw = execute(&spec, &RunConfig::fastswap(frac));
-    let r_aifm = execute_with_profile(&spec, &RunConfig::aifm(frac), Some(&profile));
+    let mut aifm = RunConfig::aifm(frac);
+    aifm.compiler.stream_motion = false;
+    let r_aifm = execute_with_profile(&spec, &aifm, Some(&profile));
 
     println!(
         "\n{:<34} {:>14} {:>12}",

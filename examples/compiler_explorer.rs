@@ -2,7 +2,8 @@
 //! stage of the TrackFM pipeline, showing exactly what the compiler injects
 //! (runtime init hook, guards, chunk streams, libc rewrites), plus the
 //! interprocedural view — call graph, per-function custody summaries, and
-//! per-site hoisted/elided guard attribution.
+//! per-site hoisted/elided guard attribution — and chunk-stream motion on a
+//! short per-group aggregation loop.
 //!
 //! ```sh
 //! cargo run --release --example compiler_explorer
@@ -46,6 +47,45 @@ fn listing1_program() -> Module {
         b.switch_to_block(exit);
         b.intrinsic(Intrinsic::Free, vec![arr]);
         b.ret(Some(sum));
+    }
+    m.verify().unwrap();
+    m
+}
+
+/// Analytics Q4 in miniature: per-group sums over runs of a row-index
+/// list, `for g { for r in offs[g]..offs[g+1] { s += rows[r] } }`. The
+/// inner loop is short and entered once per group, but the `rows` runs of
+/// consecutive groups follow one another — the shape chunk-stream motion
+/// was built for.
+fn group_sum_program() -> Module {
+    let mut m = Module::new("group_sum");
+    let f = m.declare_function(
+        "main",
+        Signature::new(vec![Type::Ptr, Type::Ptr], Some(Type::I64)),
+    );
+    {
+        let mut b = FunctionBuilder::new(m.function_mut(f));
+        let offs = b.param(0);
+        let rows = b.param(1);
+        let zero = b.iconst(Type::I64, 0);
+        let groups = b.iconst(Type::I64, 256);
+        let acc = b.alloca(8, 8);
+        b.store(acc, zero);
+        b.counted_loop(zero, groups, 1, |b, g| {
+            let oa = b.gep(offs, g, 8, 0);
+            let ob = b.gep(offs, g, 8, 8);
+            let start = b.load(Type::I64, oa);
+            let end = b.load(Type::I64, ob);
+            b.counted_loop(start, end, 1, |b, r| {
+                let ra = b.gep(rows, r, 8, 0);
+                let x = b.load(Type::I64, ra);
+                let cur = b.load(Type::I64, acc);
+                let nxt = b.binop(BinOp::Add, cur, x);
+                b.store(acc, nxt);
+            });
+        });
+        let total = b.load(Type::I64, acc);
+        b.ret(Some(total));
     }
     m.verify().unwrap();
     m
@@ -189,6 +229,46 @@ fn main() {
     println!("  * the full pipeline hoists a `tfm.chunk.begin` into the preheader,");
     println!("    replaces the guard with `tfm.chunk.deref` (3-cycle boundary check),");
     println!("    and drops `tfm.chunk.end` on the loop exit edge — Fig. 5 of the paper.");
+
+    // ------------------------------------------------------------------
+    // Chunk-stream motion: the inner per-group stream moves out of the
+    // group loop, so consecutive groups share its pinned window.
+    // ------------------------------------------------------------------
+    let group_sum = group_sum_program();
+    let mut paper = group_sum.clone();
+    let rep = TrackFmCompiler::new(CompilerOptions {
+        stream_motion: false,
+        ..Default::default()
+    })
+    .compile(&mut paper, None);
+    println!("\n================ GROUP SUMS, PAPER PLACEMENT (stream_motion off) ================");
+    println!(
+        "; {} chunk streams, each opened in its own loop's preheader",
+        rep.chunking.streams
+    );
+    print!("{paper}");
+
+    let mut moved = group_sum.clone();
+    let rep = TrackFmCompiler::default().compile(&mut moved, None);
+    println!("\n================ GROUP SUMS, CHUNK-STREAM MOTION ================");
+    println!(
+        "; {} chunk streams, {} hoisted out of their loop",
+        rep.chunking.streams, rep.chunking.streams_hoisted
+    );
+    print!("{moved}");
+    println!("\nper-stream attribution:");
+    for s in &rep.chunking.hoisted {
+        println!(
+            "  f{}:v{}  stream hoisted {} loop level(s) into an enclosing preheader",
+            s.func, s.value, s.levels
+        );
+    }
+    println!("\nThings to look for:");
+    println!("  * both `tfm.chunk.begin`s now sit in the group loop's preheader and");
+    println!("    both `tfm.chunk.end`s share its exit block: the inner loop's exit");
+    println!("    block is gone;");
+    println!("  * a group whose first row falls in the stream's pinned window pays");
+    println!("    the 3-cycle boundary check instead of a locality-invariant guard.");
 
     // ------------------------------------------------------------------
     // The interprocedural view: a multi-function serving loop.

@@ -9,13 +9,17 @@
 //! * the O1 pipeline (fold/CSE/RLE/LICM/simplify-cfg/DCE) preserves
 //!   behaviour;
 //! * the full TrackFM transformation preserves behaviour under far memory.
+//!
+//! Sibling generators add helper calls and invariant-slot loops (the
+//! interprocedural sweep) and analytics-Q4-shaped loop nests (the
+//! chunk-stream-motion sweep).
 
 use trackfm_suite::compiler::{CostModel, TrackFmCompiler};
 use trackfm_suite::ir::{
     parse_module, BinOp, CmpOp, FunctionBuilder, Module, Signature, Type, Value,
 };
 use trackfm_suite::runtime::FarMemoryConfig;
-use trackfm_suite::sim::{LocalMem, Machine, TrackFmMem};
+use trackfm_suite::sim::{ExecStats, LocalMem, Machine, TrackFmMem};
 use trackfm_suite::workloads::SplitMix64;
 
 /// One generated operation.
@@ -209,8 +213,8 @@ fn random_programs_verify_roundtrip_optimize_and_remote() {
 
 /// [`run_trackfm`], with the guard sanitizer armed: any dereference of a
 /// heap pointer without live guard custody traps instead of executing.
-/// Returns the result and the simulated cycle count.
-fn run_trackfm_sanitized(m: &Module, a: u64, b: u64) -> (u64, u64) {
+/// Returns the result and the run's execution counters.
+fn run_trackfm_sanitized(m: &Module, a: u64, b: u64) -> (u64, ExecStats) {
     let cfg = FarMemoryConfig {
         heap_size: 1 << 16,
         object_size: 64,
@@ -227,7 +231,7 @@ fn run_trackfm_sanitized(m: &Module, a: u64, b: u64) -> (u64, u64) {
     let r = machine
         .run("main", &[a, b, scratch])
         .expect("sanitizer-clean run");
-    (r.ret, r.stats.cycles)
+    (r.ret, r.stats)
 }
 
 /// The static soundness lint and the dynamic guard sanitizer must agree on
@@ -264,9 +268,9 @@ fn lint_and_sanitizer_agree_on_random_corpus() {
                 "case {case} (elide={elide}): lint must pass on pipeline output"
             );
             // Dynamic: the sanitizer sees every access of the taken path.
-            let (got, cyc) = run_trackfm_sanitized(&far, a, b);
+            let (got, stats) = run_trackfm_sanitized(&far, a, b);
             assert_eq!(got, want, "case {case} (elide={elide}): wrong result");
-            cycles[elide as usize] = cyc;
+            cycles[elide as usize] = stats.cycles;
             if elide {
                 total_eliminated += report.elision.eliminated;
             }
@@ -510,7 +514,8 @@ fn all_interproc_flag_combos_agree_on_random_corpus() {
                 "case {case} combo {combo:03b}: lint must pass"
             );
             // Dynamic: the sanitizer checks custody on the taken path.
-            let (got, cyc) = run_trackfm_sanitized(&far, a, b);
+            let (got, stats) = run_trackfm_sanitized(&far, a, b);
+            let cyc = stats.cycles;
             assert_eq!(
                 got, want,
                 "case {case} combo {combo:03b}: result differs from the LocalMem oracle"
@@ -544,6 +549,214 @@ fn all_interproc_flag_combos_agree_on_random_corpus() {
         call_aware_extra_elision,
         "call-aware kills must enable extra elision somewhere in the corpus"
     );
+}
+
+/// One operation of the loop-nest generator: the base ops plus loop nests
+/// shaped like analytics Q4 — an inner loop over `scratch[s..s+len]` whose
+/// start `s` is read from `scratch[g]` on each outer iteration `g` — the
+/// shape chunk-stream motion hoists, with payload bits that plant each of
+/// the hazards that must keep the inner stream where it is.
+#[derive(Clone, Debug)]
+enum NestOp {
+    Base(Op),
+    /// `(outer trip, inner length, flags)`: flags bit 0 makes the inner
+    /// loop write `scratch`; bits 1..4 pick the outer body's extra: none
+    /// (0–2), a pure helper call (3), an allocating helper call (4), a
+    /// conditional inner loop (5), an inner base that moves with `g` (6),
+    /// or a sibling loop (7).
+    Nest(u8, u8, u8),
+}
+
+fn random_nest_op(rng: &mut SplitMix64) -> NestOp {
+    let b8 = |rng: &mut SplitMix64| rng.next_u64() as u8;
+    match rng.next_below(3) {
+        0 => NestOp::Base(random_op(rng)),
+        _ => NestOp::Nest(b8(rng), b8(rng), b8(rng)),
+    }
+}
+
+/// [`build`]'s loop-nest sibling: `main` plus a pure helper and an
+/// allocating one. Every nest sums (or bumps) an in-bounds run of the
+/// 16-slot `scratch` buffer into a stack accumulator.
+fn build_nests(ops: &[NestOp], seed: i64) -> Module {
+    let mut m = Module::new("rand_nest");
+    let pure_fn = m.declare_function("pure", Signature::new(vec![Type::I64], Some(Type::I64)));
+    {
+        let mut b = FunctionBuilder::new(m.function_mut(pure_fn));
+        let x = b.param(0);
+        let c = b.iconst(Type::I64, seed);
+        let r = b.binop(BinOp::Xor, x, c);
+        b.ret(Some(r));
+    }
+    let killer_fn = m.declare_function("killer", Signature::new(vec![Type::I64], Some(Type::I64)));
+    {
+        let mut b = FunctionBuilder::new(m.function_mut(killer_fn));
+        let x = b.param(0);
+        let q = b.malloc_const(16);
+        b.store(q, x);
+        let v = b.load(Type::I64, q);
+        b.intrinsic(trackfm_suite::ir::Intrinsic::Free, vec![q]);
+        b.ret(Some(v));
+    }
+    let id = m.declare_function(
+        "main",
+        Signature::new(vec![Type::I64, Type::I64, Type::Ptr], Some(Type::I64)),
+    );
+    {
+        let mut b = FunctionBuilder::new(m.function_mut(id));
+        let scratch = b.param(2);
+        let mut vals: Vec<Value> = vec![b.param(0), b.param(1)];
+        let c = b.iconst(Type::I64, seed);
+        let acc = b.alloca(8, 8);
+        b.store(acc, c);
+        vals.push(c);
+        let pick = |vals: &[Value], n: u8| vals[n as usize % vals.len()];
+        for op in ops {
+            let v = match op {
+                NestOp::Base(Op::Bin(o, x, y)) => {
+                    let (a, bb) = (pick(&vals, *x), pick(&vals, *y));
+                    b.binop(BINOPS[*o as usize % BINOPS.len()], a, bb)
+                }
+                NestOp::Base(Op::Cmp(o, x, y)) => {
+                    let (a, bb) = (pick(&vals, *x), pick(&vals, *y));
+                    b.icmp(CMPS[*o as usize % CMPS.len()], a, bb)
+                }
+                NestOp::Base(Op::StoreLoad(x, s) | Op::StackSlot(x, s)) => {
+                    let v = pick(&vals, *x);
+                    let slot = b.iconst(Type::I64, (s % 16) as i64);
+                    let addr = b.gep(scratch, slot, 8, 0);
+                    b.store(addr, v);
+                    b.load(Type::I64, addr)
+                }
+                NestOp::Nest(trip, len, flags) => {
+                    let write = flags & 1 != 0;
+                    let extra = (flags >> 1) & 7;
+                    let cond = pick(&vals, *trip);
+                    let zero = b.iconst(Type::I64, 0);
+                    let trip = b.iconst(Type::I64, (trip % 6 + 1) as i64);
+                    let len = b.iconst(Type::I64, (len % 8) as i64);
+                    b.counted_loop(zero, trip, 1, |b, g| {
+                        // s = scratch[g] & 7: the inner run stays inside
+                        // the buffer whatever the slot holds.
+                        let ga = b.gep(scratch, g, 8, 0);
+                        let raw = b.load(Type::I64, ga);
+                        let seven = b.iconst(Type::I64, 7);
+                        let start = b.binop(BinOp::And, raw, seven);
+                        let end = b.binop(BinOp::Add, start, len);
+                        let base = if extra == 6 {
+                            let one = b.iconst(Type::I64, 1);
+                            let shift = b.binop(BinOp::And, g, one);
+                            b.gep(scratch, shift, 8, 0)
+                        } else {
+                            scratch
+                        };
+                        match extra {
+                            3 => {
+                                b.call(pure_fn, vec![g], Some(Type::I64));
+                            }
+                            4 => {
+                                b.call(killer_fn, vec![g], Some(Type::I64));
+                            }
+                            7 => {
+                                let z = b.iconst(Type::I64, 0);
+                                let four = b.iconst(Type::I64, 4);
+                                b.counted_loop(z, four, 1, |b, i| {
+                                    let a = b.gep(scratch, i, 8, 0);
+                                    let x = b.load(Type::I64, a);
+                                    let cur = b.load(Type::I64, acc);
+                                    let nxt = b.binop(BinOp::Add, cur, x);
+                                    b.store(acc, nxt);
+                                });
+                            }
+                            _ => {}
+                        }
+                        let join = b.create_block();
+                        if extra == 5 {
+                            let one = b.iconst(Type::I64, 1);
+                            let bit = b.binop(BinOp::And, cond, one);
+                            let then_bb = b.create_block();
+                            b.cond_br(bit, then_bb, join);
+                            b.switch_to_block(then_bb);
+                        }
+                        b.counted_loop(start, end, 1, |b, r| {
+                            let a = b.gep(base, r, 8, 0);
+                            let x = b.load(Type::I64, a);
+                            let cur = b.load(Type::I64, acc);
+                            let nxt = b.binop(BinOp::Add, cur, x);
+                            b.store(acc, nxt);
+                            if write {
+                                b.store(a, nxt);
+                            }
+                        });
+                        b.br(join);
+                        b.switch_to_block(join);
+                    });
+                    b.load(Type::I64, acc)
+                }
+            };
+            vals.push(v);
+        }
+        let last = *vals.last().unwrap();
+        b.ret(Some(last));
+    }
+    m
+}
+
+/// The chunk-stream-motion gate. Over 200 seeded loop-nest programs,
+/// `stream_motion` off and on each:
+///
+/// * passes the static lint and runs clean under the guard sanitizer;
+/// * returns the bit-identical result of a [`LocalMem`] oracle run;
+///
+/// and motion never pays more locality-invariant guards than the paper's
+/// placement. The motion must also fire somewhere in the corpus.
+#[test]
+fn stream_motion_on_and_off_agree_on_random_corpus() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_000C);
+    let mut total_hoisted = 0usize;
+    for case in 0..200 {
+        let ops: Vec<NestOp> = (0..rng.next_range(1, 9))
+            .map(|_| random_nest_op(&mut rng))
+            .collect();
+        let seed = rng.next_u64() as i64;
+        let a = rng.next_u64();
+        let b = rng.next_u64();
+        let m = build_nests(&ops, seed);
+        assert!(m.verify().is_ok(), "case {case}: program must verify");
+        let want = run_local(&m, a, b);
+
+        let mut locality = [0u64; 2];
+        for motion in [false, true] {
+            let mut far = m.clone();
+            let report = TrackFmCompiler::new(trackfm_suite::compiler::CompilerOptions {
+                stream_motion: motion,
+                ..Default::default()
+            })
+            .compile(&mut far, None);
+            assert!(
+                trackfm_suite::compiler::lint_module(&far).is_empty(),
+                "case {case} (motion={motion}): lint must pass"
+            );
+            let (got, stats) = run_trackfm_sanitized(&far, a, b);
+            assert_eq!(
+                got, want,
+                "case {case} (motion={motion}): result differs from the LocalMem oracle"
+            );
+            locality[motion as usize] = stats.locality_guards;
+            if motion {
+                total_hoisted += report.chunking.streams_hoisted;
+            } else {
+                assert_eq!(report.chunking.streams_hoisted, 0);
+            }
+        }
+        assert!(
+            locality[1] <= locality[0],
+            "case {case}: motion paid more locality guards ({} -> {})",
+            locality[0],
+            locality[1]
+        );
+    }
+    assert!(total_hoisted > 0, "stream motion must fire in the corpus");
 }
 
 /// Both checkers reject the same broken program: a raw dereference of a
