@@ -8,7 +8,9 @@
 //!
 //! * **gen** — `tfm.guard.read(p)`, `tfm.guard.write(p)` and
 //!   `tfm.chunk.deref(h, p)` establish custody for both the result and the
-//!   pointer operand `p`.
+//!   pointer operand `p`. A span guard `tfm.guard.read|write(p, len)` does
+//!   the same and records its length: it covers `[p, p + len)`, which may
+//!   reach into the object after `p`'s.
 //! * **kill** — calls and every other intrinsic (allocation, free,
 //!   `memcpy`/`memset`, chunk begin/end, prefetch, runtime init) may run
 //!   arbitrary code, free or reuse backing memory, or re-shape residency:
@@ -22,7 +24,8 @@
 //! * **meet** — set intersection at control-flow joins. Phi-aware: a phi is
 //!   covered when *every* incoming value is covered in its predecessor's
 //!   out-state; the covers meet (same source guard → that guard, different
-//!   guards → a merged cover usable by the lint but not by elimination).
+//!   guards → a merged cover usable by the lint but not by elimination;
+//!   spans meet to the shorter one, and a plain guard's custody to plain).
 //!
 //! The analysis is optimistic (unvisited predecessors are ⊤) and iterates
 //! over reverse postorder to the greatest fixpoint, so loop-carried coverage
@@ -92,10 +95,20 @@ pub struct Cover {
     pub src: CoverSrc,
     /// The kind of custody held.
     pub kind: GuardKind,
+    /// Bytes of custody from the guarded pointer on: a span guard's length,
+    /// or 0 for custody of the pointer's own object (plain guards, chunk
+    /// derefs, interprocedural covers).
+    pub span: u64,
 }
 
 impl Cover {
-    /// Meet along two paths.
+    /// Plain (one-object) custody from `src`.
+    pub fn plain(src: CoverSrc, kind: GuardKind) -> Cover {
+        Cover { src, kind, span: 0 }
+    }
+
+    /// Meet along two paths: the weaker kind and the shorter span (a plain
+    /// cover is the shortest — it vouches only for the pointer's object).
     pub fn meet(self, other: Cover) -> Cover {
         Cover {
             src: if self.src == other.src {
@@ -104,8 +117,27 @@ impl Cover {
                 CoverSrc::Merged
             },
             kind: self.kind.meet(other.kind),
+            span: self.span.min(other.span),
         }
     }
+
+    /// True when this custody is enough for a guard of kind `need` on the
+    /// same pointer spanning `span` bytes (0 = a plain guard). A span
+    /// covers plain guards and narrower spans; a plain guard never covers
+    /// a span, whose last byte may lie in the next object.
+    pub fn covers(self, need: GuardKind, span: u64) -> bool {
+        self.kind.covers(need) && (span == 0 || self.span >= span)
+    }
+}
+
+/// True when `ptr` is the pointer guard `g` took custody of (its pointer
+/// operand) or `g`'s own result. Only then may a duplicate guard on `ptr`
+/// be replaced by `g`: custody flows on to derived pointers (`gep`s of
+/// either), but a derived pointer's canonical address is not `g`'s.
+pub fn same_pointer(f: &Function, g: Value, ptr: Value) -> bool {
+    ptr == g
+        || matches!(f.kind(g), InstKind::IntrinsicCall { intr, args }
+            if intr.is_guard() && args.first() == Some(&ptr))
 }
 
 /// The covered-value set at one program point.
@@ -170,6 +202,7 @@ pub fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEff
                 let cover = Cover {
                     src: CoverSrc::Guard(v),
                     kind,
+                    span: f.guard_span(v).unwrap_or(0),
                 };
                 map.insert(v, cover);
                 if let Some(&p) = args.first() {
@@ -177,10 +210,7 @@ pub fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEff
                 }
             }
             Intrinsic::ChunkDeref => {
-                let cover = Cover {
-                    src: CoverSrc::Guard(v),
-                    kind: GuardKind::Chunk,
-                };
+                let cover = Cover::plain(CoverSrc::Guard(v), GuardKind::Chunk);
                 map.insert(v, cover);
                 if let Some(&p) = args.get(1) {
                     map.insert(p, cover);
@@ -194,13 +224,7 @@ pub fn apply_ctx(f: &Function, map: &mut CoverMap, v: Value, fx: Option<&CallEff
                 map.clear();
             }
             if let Some(&kind) = fx.and_then(|fx| fx.ret_cover.get(&v)) {
-                map.insert(
-                    v,
-                    Cover {
-                        src: CoverSrc::Guard(v),
-                        kind,
-                    },
-                );
+                map.insert(v, Cover::plain(CoverSrc::Guard(v), kind));
             }
         }
         // Custody flows through pointer arithmetic on the covered value
@@ -266,15 +290,7 @@ impl AvailableGuards {
             .map(|fx| {
                 fx.entry_cover
                     .iter()
-                    .map(|(&p, &kind)| {
-                        (
-                            p,
-                            Cover {
-                                src: CoverSrc::Merged,
-                                kind,
-                            },
-                        )
-                    })
+                    .map(|(&p, &kind)| (p, Cover::plain(CoverSrc::Merged, kind)))
                     .collect()
             })
             .unwrap_or_default();
@@ -707,6 +723,41 @@ mod tests {
             !inb.contains_key(&f.param(0)),
             "coverage must not flow out of an unreachable block"
         );
+    }
+
+    #[test]
+    fn span_guard_covers_plain_and_narrower_spans_never_the_reverse() {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], None));
+        let (span, after);
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.param(0);
+            let len = b.iconst(Type::I64, 48);
+            span = b.intrinsic(Intrinsic::GuardRead, vec![p, len]);
+            after = b.load(Type::I64, span);
+            b.ret(None);
+        }
+        let f = m.function(id);
+        let c = AvailableGuards::compute(f)
+            .cover_before(f, after, f.param(0))
+            .unwrap();
+        assert_eq!(c.src, CoverSrc::Guard(span));
+        assert_eq!(c.span, 48);
+        assert!(c.covers(GuardKind::Read, 0), "span covers a plain guard");
+        assert!(c.covers(GuardKind::Read, 16), "and a narrower span");
+        assert!(c.covers(GuardKind::Read, 48));
+        assert!(!c.covers(GuardKind::Read, 56), "not a wider one");
+        assert!(!c.covers(GuardKind::Write, 0), "kind rules still apply");
+        let plain = Cover::plain(CoverSrc::Guard(span), GuardKind::Write);
+        assert!(plain.covers(GuardKind::Read, 0));
+        assert!(
+            !plain.covers(GuardKind::Read, 8),
+            "plain never covers a span"
+        );
+        assert_eq!(c.meet(plain).span, 0, "span meets plain as plain");
+        let narrow = Cover { span: 16, ..c };
+        assert_eq!(c.meet(narrow).span, 16, "spans meet to the shorter");
     }
 
     #[test]

@@ -228,6 +228,108 @@ pub fn static_trip_count(f: &Function, lp: &NaturalLoop, ivs: &[BasicIv]) -> Opt
     }
 }
 
+/// The exact number of times the body of `lp` runs per loop entry, when it
+/// is known at compile time: the header's branch tests `iv <op> bound` for a
+/// basic IV with constant init and step against a constant bound, and the
+/// header is the loop's only way out (no other exit edge, no `ret`). Every
+/// loop block but the header then runs exactly this often, with each basic
+/// IV inside [`iv_range`].
+///
+/// Stricter than [`static_trip_count`], which assumes `iv < bound` and
+/// ignores side exits: span guards size custody from this count, so it must
+/// be exact, not an estimate.
+pub fn exact_trip_count(f: &Function, lp: &NaturalLoop, ivs: &[BasicIv]) -> Option<u64> {
+    use tfm_ir::CmpOp;
+    let term = f.terminator(lp.header)?;
+    let InstKind::CondBr {
+        cond,
+        then_bb,
+        else_bb,
+    } = f.kind(term)
+    else {
+        return None;
+    };
+    let stay_on_true = match (lp.contains(*then_bb), lp.contains(*else_bb)) {
+        (true, false) => true,
+        (false, true) => false,
+        _ => return None,
+    };
+    for &b in &lp.blocks {
+        if b == lp.header {
+            continue;
+        }
+        let t = f.terminator(b)?;
+        let k = f.kind(t);
+        if !matches!(k, InstKind::Br(_) | InstKind::CondBr { .. })
+            || k.successors().iter().any(|s| !lp.contains(*s))
+        {
+            return None;
+        }
+    }
+    let InstKind::Icmp(op, a, b) = f.kind(*cond) else {
+        return None;
+    };
+    // Normalize to `iv <op> bound`, the condition under which the loop
+    // goes on.
+    let (iv, op, bound) = if let Some(iv) = ivs.iter().find(|iv| iv.phi == *a) {
+        (iv, *op, *b)
+    } else if let Some(iv) = ivs.iter().find(|iv| iv.phi == *b) {
+        let swapped = match op {
+            CmpOp::Slt => CmpOp::Sgt,
+            CmpOp::Sle => CmpOp::Sge,
+            CmpOp::Sgt => CmpOp::Slt,
+            CmpOp::Sge => CmpOp::Sle,
+            _ => return None,
+        };
+        (iv, swapped, *a)
+    } else {
+        return None;
+    };
+    let op = if stay_on_true {
+        op
+    } else {
+        match op {
+            CmpOp::Slt => CmpOp::Sge,
+            CmpOp::Sle => CmpOp::Sgt,
+            CmpOp::Sgt => CmpOp::Sle,
+            CmpOp::Sge => CmpOp::Slt,
+            _ => return None,
+        }
+    };
+    let init = const_of(f.kind(iv.init))? as i128;
+    let bound = const_of(f.kind(bound))? as i128;
+    let step = iv.step as i128;
+    // Iterations needed to cover a non-negative distance `d` at `s > 0`.
+    let steps = |d: i128, s: i128| (d.max(0) + s - 1) / s;
+    let trips = match op {
+        CmpOp::Slt if step > 0 => steps(bound - init, step),
+        CmpOp::Sle if step > 0 => steps(bound - init + 1, step),
+        CmpOp::Sgt if step < 0 => steps(init - bound, -step),
+        CmpOp::Sge if step < 0 => steps(init - bound + 1, -step),
+        _ => return None,
+    };
+    // The last value must not wrap.
+    let last = init + (trips - 1).max(0) * step;
+    if last < i64::MIN as i128 || last > i64::MAX as i128 {
+        return None;
+    }
+    u64::try_from(trips).ok()
+}
+
+/// The first and last value basic IV `iv` takes in the body of a loop that
+/// runs `trips ≥ 1` times (see [`exact_trip_count`]); `None` when its init
+/// is not a constant or the values overflow.
+pub fn iv_range(f: &Function, iv: &BasicIv, trips: u64) -> Option<(i64, i64)> {
+    if trips == 0 {
+        return None;
+    }
+    let init = const_of(f.kind(iv.init))?;
+    let last = (trips as i64 - 1)
+        .checked_mul(iv.step)
+        .and_then(|d| init.checked_add(d))?;
+    Some((init, last))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,5 +659,85 @@ mod tests {
         };
         let (_, accesses, _) = analyse(&m, id);
         assert!(accesses.is_empty(), "5-deep chain must not be claimed");
+    }
+
+    /// A loop built by hand: `for (i = init; i <op> bound; i += step)`,
+    /// optionally with a side exit out of the body.
+    fn hand_loop(init: i64, op: tfm_ir::CmpOp, bound: i64, step: i64, side_exit: bool) -> Module {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::I64], Some(Type::I64)));
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let c = b.param(0);
+            let i0 = b.iconst(Type::I64, init);
+            let n = b.iconst(Type::I64, bound);
+            let pre = b.current_block();
+            let header = b.create_block();
+            let body = b.create_block();
+            let latch = b.create_block();
+            let exit = b.create_block();
+            b.br(header);
+            b.switch_to_block(header);
+            let i = b.phi(Type::I64, &[(pre, i0)]);
+            let go = b.icmp(op, i, n);
+            b.cond_br(go, body, exit);
+            b.switch_to_block(body);
+            if side_exit {
+                b.cond_br(c, exit, latch);
+            } else {
+                b.br(latch);
+            }
+            b.switch_to_block(latch);
+            let s = b.iconst(Type::I64, step);
+            let i2 = b.binop(tfm_ir::BinOp::Add, i, s);
+            b.add_phi_incoming(i, latch, i2);
+            b.br(header);
+            b.switch_to_block(exit);
+            b.ret(Some(i0));
+        }
+        m.verify().unwrap();
+        m
+    }
+
+    fn exact(m: &Module) -> (Option<u64>, Option<(i64, i64)>) {
+        let f = m.function(tfm_ir::FuncId::from_index(0));
+        let dt = DomTree::compute(f);
+        let forest = LoopForest::compute(f, &dt);
+        let lp = &forest.loops[0];
+        let ivs = basic_ivs(f, lp);
+        let t = exact_trip_count(f, lp, &ivs);
+        (t, t.and_then(|t| iv_range(f, &ivs[0], t)))
+    }
+
+    #[test]
+    fn exact_trip_count_honours_the_predicate_and_direction() {
+        use tfm_ir::CmpOp::*;
+        assert_eq!(
+            exact(&hand_loop(0, Slt, 8, 1, false)),
+            (Some(8), Some((0, 7)))
+        );
+        assert_eq!(
+            exact(&hand_loop(0, Sle, 8, 1, false)),
+            (Some(9), Some((0, 8)))
+        );
+        assert_eq!(
+            exact(&hand_loop(2, Slt, 9, 3, false)),
+            (Some(3), Some((2, 8)))
+        );
+        assert_eq!(
+            exact(&hand_loop(7, Sgt, -1, -1, false)),
+            (Some(8), Some((7, 0)))
+        );
+        assert_eq!(
+            exact(&hand_loop(7, Sge, 0, -2, false)),
+            (Some(4), Some((7, 1)))
+        );
+        // Never entered: zero trips, no IV range.
+        assert_eq!(exact(&hand_loop(5, Slt, 5, 1, false)), (Some(0), None));
+        // Wrong direction for the predicate, or a predicate we do not model.
+        assert_eq!(exact(&hand_loop(0, Sgt, 8, 1, false)).0, None);
+        assert_eq!(exact(&hand_loop(0, Ne, 8, 1, false)).0, None);
+        // A side exit makes the count an upper bound only.
+        assert_eq!(exact(&hand_loop(0, Slt, 8, 1, true)).0, None);
     }
 }

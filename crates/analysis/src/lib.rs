@@ -43,7 +43,7 @@ pub mod summaries;
 
 pub use callgraph::{CallGraph, CallSite};
 pub use dom::{DomTree, PostDomTree};
-pub use guard_check::{AvailableGuards, CallEffects, Cover, CoverSrc, GuardKind};
+pub use guard_check::{same_pointer, AvailableGuards, CallEffects, Cover, CoverSrc, GuardKind};
 pub use induction::{BasicIv, LoopAccess};
 pub use loops::{LoopForest, NaturalLoop};
 pub use points_to::{MemClass, PointsTo};

@@ -62,11 +62,17 @@ fn manual_sync(ol: &OpenLoopSpec, cfg: &RunConfig) -> (tfm_workloads::Outcome, H
     let mut result = last.expect("at least one request");
     result.stats.cycles = machine.clock();
     let mut telemetry = tel.snapshot();
+    // The compile-time attribution every runner path folds in: elided
+    // duplicates, guard-motion folds, and hoisted (span) guards.
     if let Some(snap) = &mut telemetry {
-        for s in &report.elision.sites {
+        for s in report.elision.sites.iter().chain(&report.motion.folds) {
             snap.sites
                 .stats_mut(SiteKey::new(s.func, s.survivor))
                 .elided += s.absorbed as u64;
+        }
+        for s in &report.motion.sites {
+            let stats = snap.sites.stats_mut(SiteKey::new(s.func, s.value));
+            stats.hoisted = stats.hoisted.max(s.levels as u64);
         }
     }
     (

@@ -18,6 +18,12 @@
 //!      is only hoistable interprocedurally, `full` must *strictly* beat
 //!      `elide-only`.
 //!
+//! A final row serves the kv-openloop `get` stream (4 simulated cores,
+//! 64-byte objects, 10% local) under both configurations and reports guard
+//! calls per request and the exact median request latency: span-guard
+//! motion must strictly cut both (one span guard replaces eight per-word
+//! guards on each 64-byte value).
+//!
 //! Emits `BENCH_guard_motion.json` for CI trend tracking.
 //!
 //! ```sh
@@ -27,7 +33,9 @@
 use tfm_bench::{print_table, scale};
 use tfm_telemetry::Json;
 use tfm_workloads::runner::{execute, RunConfig};
-use tfm_workloads::{memcached, serving, stream, WorkloadSpec};
+use tfm_workloads::{
+    execute_open_loop, memcached, open_loop, serving, stream, OpenLoopParams, WorkloadSpec,
+};
 use trackfm::{CompilerOptions, TrackFmCompiler};
 
 fn elide_only(mut opts: CompilerOptions) -> CompilerOptions {
@@ -70,6 +78,30 @@ fn workloads() -> Vec<(&'static str, WorkloadSpec, RunConfig, bool)> {
             false,
         ),
     ]
+}
+
+/// Serves the kv-openloop requests under `cfg` and returns `(guard calls
+/// per request, exact p50 request latency, hoisted guards)`.
+fn kv_openloop(cfg: &RunConfig) -> (f64, u64, usize) {
+    let s = scale() as u64;
+    let ol = open_loop(&OpenLoopParams {
+        keys: (100_000 / s) as usize,
+        requests: (200_000 / s) as usize,
+        seed: 1,
+        mean_gap_cycles: 440,
+        ..OpenLoopParams::default()
+    });
+    let run = execute_open_loop(&ol, cfg);
+    let stats = &run.outcome.result.stats;
+    let guards = stats.total_guards() + stats.custody_exits;
+    let mut latencies = run.latencies;
+    latencies.sort_unstable();
+    let hoisted = run.outcome.report.expect("trackfm compiles").motion.hoisted;
+    (
+        guards as f64 / ol.requests.len() as f64,
+        latencies[latencies.len() / 2],
+        hoisted,
+    )
 }
 
 fn main() {
@@ -116,8 +148,10 @@ fn main() {
         }
 
         let surviving_off = off_rep.total_guards() - off_rep.elision.eliminated;
-        let surviving_on =
-            on_rep.total_guards() - on_rep.elision.eliminated - on_rep.motion.upgraded;
+        // Every upgrade and every guard folded into a span guard is one
+        // fold into its survivor.
+        let folded: u32 = on_rep.motion.folds.iter().map(|s| s.absorbed).sum();
+        let surviving_on = on_rep.total_guards() - on_rep.elision.eliminated - folded as usize;
         rows.push(vec![
             name.to_string(),
             surviving_off.to_string(),
@@ -139,6 +173,52 @@ fn main() {
         ]));
     }
 
+    // kv-openloop: span-guard motion on `get`'s value loop.
+    let kv_on = RunConfig::trackfm(0.1).with_object_size(64).with_cores(4);
+    let mut kv_off = kv_on;
+    kv_off.compiler = elide_only(kv_off.compiler);
+    let (calls_off, p50_off, _) = kv_openloop(&kv_off);
+    let (calls_on, p50_on, hoisted) = kv_openloop(&kv_on);
+    assert!(
+        hoisted >= 1,
+        "kv-openloop: the value loop's guard must leave as a span"
+    );
+    assert!(
+        calls_on < calls_off,
+        "kv-openloop: span motion must cut guard calls ({calls_off:.2} -> {calls_on:.2})"
+    );
+    assert!(
+        p50_on < p50_off,
+        "kv-openloop: span motion must cut the median latency ({p50_off} -> {p50_on})"
+    );
+    print_table(
+        "guard_motion: kv-openloop (4 cores, 64 B objects, 10% local)",
+        &["config", "guard calls/request", "p50 cycles"],
+        &[
+            vec![
+                "elide-only".to_string(),
+                format!("{calls_off:.2}"),
+                p50_off.to_string(),
+            ],
+            vec![
+                "full".to_string(),
+                format!("{calls_on:.2}"),
+                p50_on.to_string(),
+            ],
+        ],
+    );
+    json_rows.push(Json::Obj(vec![
+        ("workload".into(), Json::str("kv-openloop")),
+        ("hoisted".into(), Json::Int(hoisted as u64)),
+        (
+            "guard_calls_per_request_elide_only".into(),
+            Json::Num(calls_off),
+        ),
+        ("guard_calls_per_request_full".into(), Json::Num(calls_on)),
+        ("req_p50_cycles_elide_only".into(), Json::Int(p50_off)),
+        ("req_p50_cycles_full".into(), Json::Int(p50_on)),
+    ]));
+
     print_table(
         "guard_motion (cycles at the row's budget; guards = static sites)",
         &[
@@ -154,7 +234,8 @@ fn main() {
         &rows,
     );
     println!("\n  gate: motion outcomes deterministic; results unchanged;");
-    println!("  cycles(full) <= cycles(elide-only) everywhere, strictly less on serving.");
+    println!("  cycles(full) <= cycles(elide-only) everywhere, strictly less on serving;");
+    println!("  kv-openloop guard calls and p50 strictly lower with span motion.");
 
     assert!(strict_win, "the strict-win workload must run");
     let doc = Json::Obj(vec![

@@ -371,6 +371,7 @@ fn hoist_streams(f: &mut Function, func: FuncId, leaves: &HashSet<FuncId>) -> Ve
             func: func.0,
             value: v.index() as u32,
             levels,
+            span: 0,
         })
         .collect()
 }
@@ -1007,7 +1008,8 @@ mod tests {
             vec![HoistedSite {
                 func: id.0,
                 value: h.index() as u32,
-                levels: 1
+                levels: 1,
+                span: 0,
             }]
         );
         let dt = DomTree::compute(f);

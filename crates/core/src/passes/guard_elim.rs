@@ -10,20 +10,26 @@
 //! paper's Fig. 4 accounting) on every execution.
 //!
 //! Kind rules: a write guard covers a later read or write guard on the same
-//! pointer; a read guard covers only reads. Chunk-dereference custody is
-//! never reused (its write intent is a property of the stream, not the
-//! value). One extension handles the ubiquitous read-modify-write pattern
-//! (`load p; op; store p`): when a *write* guard is covered only by a *read*
-//! guard defined in the **same block**, the earlier guard is upgraded in
-//! place to `tfm.guard.write` and the later one deleted. The same-block
-//! restriction guarantees the store executes whenever the upgraded guard
-//! does, so dirty-marking is never added to a path that does not write.
+//! pointer; a read guard covers only reads. Span rules: a span guard
+//! `tfm.guard.read|write(p, len)` covers later plain guards on `p` and
+//! spans on `p` no longer than `len`; a plain guard never covers a span
+//! (the span's last byte may lie in the next object). "The same pointer"
+//! is literal: a guard on a pointer *derived* from `p` is never folded into
+//! a guard on `p`, since its canonical result differs. Chunk-dereference
+//! custody is never reused (its write intent is a property of the stream,
+//! not the value). One extension handles the ubiquitous read-modify-write
+//! pattern (`load p; op; store p`): when a *write* guard is covered only by
+//! a *read* guard defined in the **same block**, the earlier guard is
+//! upgraded in place to `tfm.guard.write` and the later one deleted. The
+//! same-block restriction guarantees the store executes whenever the
+//! upgraded guard does, so dirty-marking is never added to a path that does
+//! not write.
 //!
 //! Eliminated guards are attributed to the surviving site so telemetry can
 //! report per-site elision counts alongside runtime hit counts.
 
 use std::collections::HashMap;
-use tfm_analysis::guard_check::{AvailableGuards, CoverSrc, GuardKind};
+use tfm_analysis::guard_check::{same_pointer, AvailableGuards, Cover, CoverSrc, GuardKind};
 use tfm_analysis::summaries::ModuleSummaries;
 use tfm_ir::{InstKind, Intrinsic, Module, Value};
 
@@ -107,10 +113,12 @@ pub fn run_with(module: &mut Module, summaries: Option<&ModuleSummaries>) -> Eli
                     continue;
                 };
                 let g = chase(&repl, src);
-                if g == v {
+                if g == v || !same_pointer(f, g, ptr) {
                     ag.apply(f, &mut map, v);
                     continue;
                 }
+                let need_span = f.guard_span(v).unwrap_or(0);
+                let have_span = f.guard_span(g).unwrap_or(0);
                 // The survivor's *current* kind (upgrades rewrite the IR).
                 let have = match f.kind(g) {
                     InstKind::IntrinsicCall {
@@ -135,17 +143,24 @@ pub fn run_with(module: &mut Module, summaries: Option<&ModuleSummaries>) -> Eli
                         ..
                     }
                 );
-                let eliminable = if have.covers(need) {
+                let have_cover = Cover {
+                    kind: have,
+                    span: have_span,
+                    ..cover
+                };
+                let eliminable = if have_cover.covers(need, need_span) {
                     true
                 } else if upgradeable_guard
                     && have == GuardKind::Read
                     && need == GuardKind::Write
+                    && have_span == need_span
                     && f.inst(g).block == b
                 {
                     // Same-block read→write upgrade (RMW pattern): the
                     // duplicate write guard always executes right after the
                     // read guard, so strengthening in place adds
-                    // dirty-marking exactly where the store already is.
+                    // dirty-marking exactly where the store already is (the
+                    // spans match, so no byte the store misses is dirtied).
                     if let InstKind::IntrinsicCall { intr, .. } = &mut f.inst_mut(g).kind {
                         *intr = Intrinsic::GuardWrite;
                     }
@@ -399,5 +414,74 @@ mod tests {
         let out = run(&mut m);
         assert_eq!(out.eliminated, 0);
         assert_eq!(count_guards(&m), (3, 0));
+    }
+
+    fn span_then_plain(
+        first_span: Option<i64>,
+        second_span: Option<i64>,
+    ) -> (Module, ElisionOutcome) {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.param(0);
+            let guard = |b: &mut FunctionBuilder, span: Option<i64>| {
+                let mut args = vec![p];
+                if let Some(len) = span {
+                    args.push(b.iconst(Type::I64, len));
+                }
+                b.intrinsic(Intrinsic::GuardRead, args)
+            };
+            let g1 = guard(&mut b, first_span);
+            let x = b.load(Type::I64, g1);
+            let g2 = guard(&mut b, second_span);
+            let y = b.load(Type::I64, g2);
+            let s = b.binop(tfm_ir::BinOp::Add, x, y);
+            b.ret(Some(s));
+        }
+        m.verify().unwrap();
+        let out = run(&mut m);
+        m.verify().unwrap();
+        (m, out)
+    }
+
+    #[test]
+    fn span_guard_absorbs_plain_and_narrower_span_guards_on_its_pointer() {
+        assert_eq!(span_then_plain(Some(64), None).1.eliminated, 1);
+        assert_eq!(span_then_plain(Some(64), Some(40)).1.eliminated, 1);
+        assert_eq!(span_then_plain(Some(40), Some(40)).1.eliminated, 1);
+    }
+
+    #[test]
+    fn plain_guard_never_absorbs_a_later_span_guard() {
+        // Folding would leave the span's second object unguarded.
+        let (m, out) = span_then_plain(None, Some(64));
+        assert_eq!(out.eliminated, 0);
+        assert_eq!(count_guards(&m), (2, 0));
+        // Nor does a span absorb a wider one.
+        assert_eq!(span_then_plain(Some(16), Some(64)).1.eliminated, 0);
+    }
+
+    #[test]
+    fn guard_on_a_derived_pointer_is_not_folded_into_the_base_guard() {
+        // `p` and `p + 8` share custody (gep of a covered pointer), but the
+        // second guard's canonical result is 8 bytes on: reusing the first
+        // guard would load the wrong word.
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.param(0);
+            let g1 = b.intrinsic(Intrinsic::GuardRead, vec![p]);
+            let _ = b.load(Type::I64, g1);
+            let one = b.iconst(Type::I64, 1);
+            let q = b.gep(p, one, 8, 0);
+            let g2 = b.intrinsic(Intrinsic::GuardRead, vec![q]);
+            let x = b.load(Type::I64, g2);
+            b.ret(Some(x));
+        }
+        let out = run(&mut m);
+        assert_eq!(out.eliminated, 0);
+        assert_eq!(count_guards(&m), (2, 0));
     }
 }

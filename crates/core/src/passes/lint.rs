@@ -19,6 +19,13 @@
 //! `tfm.chunk.begin` flags include the write bit), otherwise dirty tracking
 //! is lost and writebacks silently dropped.
 //!
+//! Accesses covered by a span guard `tfm.guard.read|write(lo, len)` must
+//! also provably stay inside `[lo, lo + len)`: the access pointer must be
+//! the guard's result (or `lo`) plus `gep`s whose indices are constants or
+//! basic IVs of exact-trip loops, and the IV ranges × scales + offsets +
+//! access size must fit the span. Custody past the span's end is not held
+//! — the object after it may never have been localized.
+//!
 //! The lint is wired into the pipeline as a final (optional) verify stage
 //! and into CI across every workload, example, and seeded random program.
 //! Modules are linted *post*-pipeline, where any surviving `malloc`/`calloc`
@@ -26,7 +33,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use tfm_analysis::dom::DomTree;
 use tfm_analysis::guard_check::{AvailableGuards, CoverSrc, GuardKind};
+use tfm_analysis::induction::{basic_ivs, exact_trip_count, iv_range};
+use tfm_analysis::loops::LoopForest;
 use tfm_analysis::points_to::{MemClass, PointsTo};
 use tfm_analysis::summaries::ModuleSummaries;
 use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Module, Value, CHUNK_FLAG_WRITE};
@@ -96,6 +106,86 @@ fn pruned_local_sites(f: &Function) -> HashSet<Value> {
         .collect()
 }
 
+/// The values index `idx` can take in a `gep` computed in block `at`: a
+/// constant, or a basic IV of an exact-trip loop holding `at` past its
+/// header (the header also runs once with the exit value).
+fn index_range(
+    f: &Function,
+    forest: &LoopForest,
+    at: tfm_ir::Block,
+    idx: Value,
+) -> Option<(i64, i64)> {
+    if let InstKind::ConstInt(c) = f.kind(idx) {
+        return Some((*c, *c));
+    }
+    let lp = forest
+        .loops
+        .iter()
+        .find(|l| l.header == f.inst(idx).block)?;
+    if !lp.contains(at) || at == lp.header {
+        return None;
+    }
+    let ivs = basic_ivs(f, lp);
+    let iv = ivs.iter().find(|iv| iv.phi == idx)?;
+    iv_range(f, iv, exact_trip_count(f, lp, &ivs)?)
+}
+
+/// Lowest and highest byte offset of `ptr` from the start of span guard
+/// `g`'s custody, when `ptr` is `g`'s result or pointer operand plus a
+/// chain of `gep`s with bounded indices.
+fn span_offsets(f: &Function, forest: &LoopForest, g: Value, ptr: Value) -> Option<(i128, i128)> {
+    let InstKind::IntrinsicCall { args, .. } = f.kind(g) else {
+        return None;
+    };
+    if ptr == g || ptr == args[0] {
+        return Some((0, 0));
+    }
+    let InstKind::Gep {
+        base,
+        index,
+        scale,
+        disp,
+    } = *f.kind(ptr)
+    else {
+        return None;
+    };
+    let (lo, hi) = span_offsets(f, forest, g, base)?;
+    let (a, b) = index_range(f, forest, f.inst(ptr).block, index)?;
+    let (a, b) = (
+        i128::from(a) * i128::from(scale),
+        i128::from(b) * i128::from(scale),
+    );
+    let disp = i128::from(disp);
+    Some((lo + a.min(b) + disp, hi + a.max(b) + disp))
+}
+
+/// Checks that an access of `size` bytes through `ptr`, covered by span
+/// guard `g` of `len` bytes, stays inside the span.
+fn span_violation(
+    f: &Function,
+    forest: &LoopForest,
+    g: Value,
+    len: u64,
+    ptr: Value,
+    size: u64,
+) -> Option<String> {
+    match span_offsets(f, forest, g, ptr) {
+        Some((lo, hi)) if lo >= 0 && hi + i128::from(size) <= i128::from(len) => None,
+        Some((lo, hi)) => Some(format!(
+            "bytes {lo}..{} of the access through %{} fall outside the {len}-byte span \
+             of guard %{}",
+            hi + i128::from(size),
+            ptr.index(),
+            g.index()
+        )),
+        None => Some(format!(
+            "cannot bound the access through %{} within the {len}-byte span of guard %{}",
+            ptr.index(),
+            g.index()
+        )),
+    }
+}
+
 fn lint_function(
     name: &str,
     f: &Function,
@@ -103,6 +193,13 @@ fn lint_function(
     ag: &AvailableGuards,
     errors: &mut Vec<LintError>,
 ) {
+    // Loops are only needed to bound span-guarded accesses.
+    let has_spans = f.live_insts().iter().any(|&v| f.guard_span(v).is_some());
+    let forest = if has_spans {
+        LoopForest::compute(f, &DomTree::compute(f))
+    } else {
+        LoopForest::default()
+    };
     for b in f.blocks() {
         let Some(mut map) = ag.block_in(b).cloned() else {
             continue; // unreachable
@@ -132,6 +229,32 @@ fn lint_function(
                     ptr.index()
                 ))),
                 MemClass::Localized => match map.get(&ptr) {
+                    Some(cover) if cover.span > 0 => {
+                        let size = match f.kind(v) {
+                            InstKind::Store { val, .. } => f.ty(*val),
+                            _ => f.ty(v),
+                        }
+                        .map_or(8, |t| u64::from(t.size()));
+                        let violation = match cover.src {
+                            CoverSrc::Guard(g) => {
+                                span_violation(f, &forest, g, cover.span, ptr, size)
+                            }
+                            CoverSrc::Merged => Some(format!(
+                                "{what} through %{} is covered by spans of different guards \
+                                 and cannot be bounded",
+                                ptr.index()
+                            )),
+                        };
+                        if let Some(msg) = violation {
+                            errors.push(err(msg));
+                        } else if is_store && cover.kind != GuardKind::Write {
+                            errors.push(err(format!(
+                                "store through %{} whose custody has no write intent \
+                                 (dirty tracking would be lost)",
+                                ptr.index()
+                            )));
+                        }
+                    }
                     None => errors.push(err(format!(
                         "{what} through %{}: custody not available on all paths \
                          (guard killed or missing on some path)",
@@ -383,5 +506,67 @@ mod tests {
             b.ret(Some(x));
         }
         assert!(lint_module(&m).is_empty());
+    }
+
+    /// `for i in 0..8 { x ^= p[i] }` read through one span guard of `len`
+    /// bytes, rebased as guard motion emits it.
+    fn spanned_loop(len: i64) -> (Module, Value) {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        let mut load = None;
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.param(0);
+            let n = b.iconst(Type::I64, len);
+            let g = b.intrinsic(Intrinsic::GuardRead, vec![p, n]);
+            let zero = b.iconst(Type::I64, 0);
+            let eight = b.iconst(Type::I64, 8);
+            b.counted_loop(zero, eight, 1, |b, i| {
+                let a = b.gep(g, i, 8, 0);
+                load = Some(b.load(Type::I64, a));
+            });
+            b.ret(Some(zero));
+        }
+        m.verify().unwrap();
+        (m, load.unwrap())
+    }
+
+    #[test]
+    fn span_bounds_are_proven_from_the_iv_range() {
+        assert!(lint_module(&spanned_loop(64).0).is_empty());
+        let (m, load) = spanned_loop(56);
+        let errs = lint_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].inst, load.index());
+        assert_eq!(errs[0].site, format!("f:v{}:load", load.index()));
+        assert!(
+            errs[0].message.contains("outside the 56-byte span"),
+            "{}",
+            errs[0]
+        );
+        assert!(errs[0].message.contains("bytes 0..64"), "{}", errs[0]);
+    }
+
+    #[test]
+    fn unbounded_span_access_is_flagged() {
+        // A data-dependent index cannot be bounded within the span.
+        let mut m = Module::new("t");
+        let id = m.declare_function(
+            "f",
+            Signature::new(vec![Type::Ptr, Type::I64], Some(Type::I64)),
+        );
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.param(0);
+            let k = b.param(1);
+            let n = b.iconst(Type::I64, 64);
+            let g = b.intrinsic(Intrinsic::GuardRead, vec![p, n]);
+            let a = b.gep(g, k, 8, 0);
+            let x = b.load(Type::I64, a);
+            b.ret(Some(x));
+        }
+        let errs = lint_module(&m);
+        assert_eq!(errs.len(), 1);
+        assert!(errs[0].message.contains("cannot bound"), "{}", errs[0]);
     }
 }

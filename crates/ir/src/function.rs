@@ -156,6 +156,21 @@ impl Function {
         self.insts[v.index()].ty
     }
 
+    /// The byte length of a span guard (`tfm.guard.read|write(p, len)`
+    /// with a constant `len`); `None` for plain guards and every other
+    /// instruction.
+    pub fn guard_span(&self, v: Value) -> Option<u64> {
+        match self.kind(v) {
+            InstKind::IntrinsicCall { intr, args } if intr.is_guard() && args.len() == 2 => {
+                match self.kind(args[1]) {
+                    InstKind::ConstInt(len) => Some(*len as u64),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
     /// The ordered instruction list of a block.
     #[inline]
     pub fn block_insts(&self, b: Block) -> &[Value] {

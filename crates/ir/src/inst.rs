@@ -215,8 +215,15 @@ pub enum Intrinsic {
     /// `tfm.guard.read(ptr) -> ptr` — full guard before a load (Fig. 4):
     /// custody check, state-table lookup, fast or slow path; returns a
     /// canonical localized pointer.
+    ///
+    /// The *span* form `tfm.guard.read(ptr, len)` takes custody of the
+    /// bytes `[ptr, ptr + len)`, where `len` is a constant in
+    /// `1..=`[`MAX_SPAN_BYTES`]: one guard on `ptr` and, when the last
+    /// byte falls in another 64-byte granule, one on that byte. Guard
+    /// motion emits it for short constant-trip loops.
     GuardRead,
-    /// `tfm.guard.write(ptr) -> ptr` — full guard before a store.
+    /// `tfm.guard.write(ptr) -> ptr` — full guard before a store (span
+    /// form `tfm.guard.write(ptr, len)` as for [`Intrinsic::GuardRead`]).
     GuardWrite,
     /// `tfm.chunk.begin(ptr, flags) -> handle` — set up a loop-chunking
     /// stream over a TrackFM pointer (Fig. 5). Flag bit 0 = write intent,
@@ -309,6 +316,11 @@ impl fmt::Display for Intrinsic {
         f.write_str(self.name())
     }
 }
+
+/// Largest byte length a span guard (`tfm.guard.read|write(ptr, len)`)
+/// may cover: the smallest legal runtime object size, so a span touches
+/// at most two objects whatever object size the runtime picks.
+pub const MAX_SPAN_BYTES: u64 = 64;
 
 /// Flag bit for [`Intrinsic::ChunkBegin`]: the stream will be written.
 pub const CHUNK_FLAG_WRITE: i64 = 1;

@@ -80,6 +80,7 @@ pub use entities::{Block, FuncId, GlobalId, Value};
 pub use function::{BlockData, Function, InstData, Signature};
 pub use inst::{
     BinOp, CastOp, CmpOp, FCmpOp, InstKind, Intrinsic, CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE,
+    MAX_SPAN_BYTES,
 };
 pub use module::{Global, Module};
 pub use parser::{parse_module, ParseError};

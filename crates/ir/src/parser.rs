@@ -709,6 +709,33 @@ mod tests {
     }
 
     #[test]
+    fn roundtrips_span_guards() {
+        let mut m = Module::new("rt");
+        let id = m.declare_function("main", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.param(0);
+            let len = b.iconst(Type::I64, 64);
+            let g = b.intrinsic(crate::Intrinsic::GuardWrite, vec![p, len]);
+            let x = b.load(Type::I64, g);
+            b.store(g, x);
+            b.ret(Some(x));
+        }
+        m.verify().unwrap();
+        let text = m.to_string();
+        assert!(text.contains("call tfm.guard.write(%0, %1)"), "{text}");
+        roundtrip(&m);
+        let parsed = parse_module(&text).unwrap();
+        let f = parsed.function(parsed.find_function("main").unwrap());
+        let g = f
+            .live_insts()
+            .into_iter()
+            .find(|&v| f.guard_span(v).is_some())
+            .expect("span guard survives the round trip");
+        assert_eq!(f.guard_span(g), Some(64));
+    }
+
+    #[test]
     fn parses_semantically_equal_values() {
         // Parse a hand-written module and check structure.
         let text = "\

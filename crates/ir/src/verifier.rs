@@ -8,11 +8,13 @@
 //! * no operand refers to a tombstone;
 //! * every non-phi use is dominated by its definition (iterative dominance);
 //! * operand/result types are consistent (binops homogeneous, loads/stores
-//!   through `ptr`, calls match callee signatures, intrinsic signatures).
+//!   through `ptr`, calls match callee signatures, intrinsic signatures);
+//! * a guard's optional second (span length) operand is an `i64` constant
+//!   in `1..=MAX_SPAN_BYTES`.
 
 use crate::entities::{Block, Value};
 use crate::function::Function;
-use crate::inst::InstKind;
+use crate::inst::{InstKind, MAX_SPAN_BYTES};
 use crate::module::Module;
 use crate::types::Type;
 use std::collections::HashSet;
@@ -280,6 +282,25 @@ fn check_types(f: &Function, v: Value, module: Option<&Module>) -> Result<(), Ve
                 if f.ty(v) != callee.sig.ret {
                     return e(format!("{v}: call result type mismatch"));
                 }
+            }
+        }
+        InstKind::IntrinsicCall { intr, args } if intr.is_guard() && args.len() == 2 => {
+            // Span guard: the length must be a compile-time constant the
+            // lowering can rely on covering at most two objects.
+            if f.ty(args[0]) != Some(Type::Ptr) || f.ty(args[1]) != Some(Type::I64) {
+                return e(format!("{v}: span guard {intr} takes (ptr, i64)"));
+            }
+            match f.kind(args[1]) {
+                InstKind::ConstInt(len) if (1..=MAX_SPAN_BYTES as i64).contains(len) => {}
+                InstKind::ConstInt(len) => {
+                    return e(format!(
+                        "{v}: span guard {intr} length {len} outside 1..={MAX_SPAN_BYTES}"
+                    ));
+                }
+                _ => return e(format!("{v}: span guard {intr} length is not a constant")),
+            }
+            if f.ty(v) != Some(Type::Ptr) {
+                return e(format!("{v}: intrinsic {intr} result type mismatch"));
             }
         }
         InstKind::IntrinsicCall { intr, args } => {
@@ -660,6 +681,50 @@ mod tests {
             b.ret(Some(p));
         }
         m.verify().unwrap();
+    }
+
+    fn span_guard_module(len: i64, len_ty: Type) -> Module {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        let mut b = FunctionBuilder::new(m.function_mut(id));
+        let p = b.param(0);
+        let n = b.iconst(len_ty, len);
+        let g = b.intrinsic(crate::Intrinsic::GuardRead, vec![p, n]);
+        let x = b.load(Type::I64, g);
+        b.ret(Some(x));
+        m
+    }
+
+    #[test]
+    fn span_guard_length_must_be_a_constant_in_range() {
+        for len in [1, 8, 64] {
+            span_guard_module(len, Type::I64).verify().unwrap();
+        }
+        for len in [0, -8, 65, 4096] {
+            let e = span_guard_module(len, Type::I64).verify().unwrap_err();
+            // err_at: located to the guard instruction in bb0.
+            assert_eq!((e.block, e.inst), (Some(0), Some(2)), "{e}");
+            assert!(e.message.contains("outside 1..=64"), "{e}");
+        }
+        let e = span_guard_module(8, Type::I32).verify().unwrap_err();
+        assert!(e.message.contains("takes (ptr, i64)"), "{e}");
+
+        // A length computed at run time is rejected too.
+        let mut m = Module::new("t");
+        let id = m.declare_function(
+            "f",
+            Signature::new(vec![Type::Ptr, Type::I64], Some(Type::I64)),
+        );
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let p = b.param(0);
+            let n = b.param(1);
+            let g = b.intrinsic(crate::Intrinsic::GuardWrite, vec![p, n]);
+            let x = b.load(Type::I64, g);
+            b.ret(Some(x));
+        }
+        let e = m.verify().unwrap_err();
+        assert!(e.message.contains("not a constant"), "{e}");
     }
 
     #[test]

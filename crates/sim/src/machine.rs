@@ -17,7 +17,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use tfm_analysis::profile::Profile;
 use tfm_ir::{
-    BinOp, Block, CastOp, CmpOp, FCmpOp, FuncId, Function, InstKind, Intrinsic, Module, Type, Value,
+    BinOp, Block, CastOp, CmpOp, FCmpOp, FuncId, Function, InstKind, Intrinsic, Module, Type,
+    Value, MAX_SPAN_BYTES,
 };
 use tfm_runtime::TfmPtr;
 use tfm_telemetry::{EventKind, SiteKey, SpanKind, Telemetry};
@@ -755,6 +756,30 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
         kind
     }
 
+    /// One memory-system guard on `ptr`, charged to the clock and, with
+    /// telemetry on, attributed to `site`.
+    #[inline(always)]
+    fn guard(&mut self, ptr: u64, write: bool, site: SiteKey) -> Result<u64, Trap> {
+        if self.tel.is_enabled() {
+            let before = self.stats;
+            let now = self.clock;
+            // Provisional: reclassified by outcome once the stat deltas are
+            // known. Opened before the memory-system call so transfer/retry
+            // leaves nest under the guard.
+            let sp = self.tel.span_begin(SpanKind::GuardSlowRemote, site.0, now);
+            let (c, out) = self.mem.guard(ptr, write, now, &mut self.stats)?;
+            self.clock += c;
+            let kind = self.note_guard_site(site, now, c, &before);
+            let (sk, keep) = span_kind_of(kind);
+            self.tel.span_finish(sp, now + c, sk, keep);
+            Ok(out)
+        } else {
+            let (c, out) = self.mem.guard(ptr, write, self.clock, &mut self.stats)?;
+            self.clock += c;
+            Ok(out)
+        }
+    }
+
     pub(crate) fn exec_intrinsic(
         &mut self,
         intr: Intrinsic,
@@ -810,26 +835,19 @@ impl<'m, M: MemorySystem> Machine<'m, M> {
             }
             Intrinsic::GuardRead | Intrinsic::GuardWrite => {
                 let write = intr == Intrinsic::GuardWrite;
-                if self.tel.is_enabled() {
-                    let before = self.stats;
-                    let now = self.clock;
-                    // Provisional: reclassified by outcome once the stat
-                    // deltas are known. Opened before the memory-system call
-                    // so transfer/retry leaves nest under the guard.
-                    let sp = self.tel.span_begin(SpanKind::GuardSlowRemote, site.0, now);
-                    let (c, out) = self.mem.guard(args[0], write, now, &mut self.stats)?;
-                    self.clock += c;
-                    let kind = self.note_guard_site(site, now, c, &before);
-                    let (sk, keep) = span_kind_of(kind);
-                    self.tel.span_finish(sp, now + c, sk, keep);
-                    Ok(out)
-                } else {
-                    let (c, out) = self
-                        .mem
-                        .guard(args[0], write, self.clock, &mut self.stats)?;
-                    self.clock += c;
-                    Ok(out)
+                let out = self.guard(args[0], write, site)?;
+                // Span guard `(lo, len)`: custody of `[lo, lo + len)`. The
+                // verifier caps `len` at the smallest object size, so the
+                // span reaches at most one more object, the one holding its
+                // last byte — guarded only when that byte lies in another
+                // granule of that size.
+                if args.len() == 2 {
+                    let last = args[0].wrapping_add(args[1].saturating_sub(1));
+                    if last / MAX_SPAN_BYTES != args[0] / MAX_SPAN_BYTES {
+                        self.guard(last, write, site)?;
+                    }
                 }
+                Ok(out)
             }
             Intrinsic::ChunkBegin => {
                 let (c, h) = self.mem.chunk_begin(args[0], args[1] as i64, self.clock);
@@ -1355,6 +1373,60 @@ mod tests {
         assert_eq!(stats.fast, 1);
         assert!(stats.stall_cycles > 0, "the cold fetch stalls");
         assert_eq!(snap.stall_per_access.count(), 2);
+    }
+
+    #[test]
+    fn span_guard_pays_one_guard_per_64_byte_granule_it_touches() {
+        use crate::memsys::TrackFmMem;
+        use tfm_runtime::FarMemoryConfig;
+        use trackfm::CostModel;
+
+        // f(p) = span guard over [p, p + len), then a load of its last word.
+        let build = |len: i64| {
+            let mut m = Module::new("t");
+            let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+            {
+                let mut b = FunctionBuilder::new(m.function_mut(id));
+                let p = b.param(0);
+                let n = b.iconst(Type::I64, len);
+                let g = b.intrinsic(Intrinsic::GuardRead, vec![p, n]);
+                let k = b.iconst(Type::I64, len - 8);
+                let a = b.gep(g, k, 1, 0);
+                let x = b.load(Type::I64, a);
+                b.ret(Some(x));
+            }
+            m.verify().unwrap();
+            m
+        };
+        // (object size, offset into the allocation, span length, guards)
+        for (obj, off, len, want) in [
+            (64, 0, 64, 1),    // exactly one object
+            (64, 32, 64, 2),   // straddles two objects
+            (64, 56, 16, 2),   // short, but across the boundary
+            (64, 8, 48, 1),    // inside one object
+            (4096, 32, 64, 2), // two 64 B granules of one large object
+        ] {
+            let m = build(len);
+            for engine in [ExecEngine::TreeWalk, ExecEngine::Bytecode] {
+                let cfg = FarMemoryConfig {
+                    object_size: obj,
+                    ..FarMemoryConfig::small()
+                };
+                let mem = TrackFmMem::new(cfg, CostModel::default());
+                let mut mach = Machine::new(&m, mem, CostModel::default(), 1 << 20);
+                mach.set_engine(engine);
+                mach.enable_guard_sanitizer();
+                let base = mach.setup_alloc(256);
+                let words: Vec<u64> = (0..32).collect();
+                mach.setup_write_u64s(base, &words);
+                mach.finish_setup(false);
+                let r = mach.run("f", &[base + off]).unwrap();
+                assert_eq!(r.ret, (off + len as u64 - 8) / 8, "{engine:?}");
+                let s = r.stats;
+                let guards = s.guards_fast + s.guards_slow_local + s.guards_slow_remote;
+                assert_eq!(guards, want, "obj {obj} off {off} len {len} {engine:?}");
+            }
+        }
     }
 
     #[test]

@@ -228,6 +228,8 @@ pub struct OpenLoopRun {
     pub outcome: Outcome,
     /// Per-request latency (retire − arrival, queueing included).
     pub latency: Histogram,
+    /// The same latencies, exact and in arrival order.
+    pub latencies: Vec<u64>,
     /// Final per-core clocks.
     pub core_clocks: Vec<u64>,
     /// The run's makespan in simulated cycles.
@@ -344,6 +346,7 @@ fn drive<M: MemorySystem>(
     }
 
     let mut latency = Histogram::new();
+    let mut latencies = Vec::with_capacity(ol.requests.len());
     let mut checksum = 0u64;
     let mut last: Option<RunResult> = None;
     let mut call = Vec::with_capacity(args.len() + 1);
@@ -367,6 +370,7 @@ fn drive<M: MemorySystem>(
         // it issued has landed — the completion horizon carries that cycle.
         let retire = end.max(machine.mem.take_completion_horizon());
         latency.record(retire - req.arrival);
+        latencies.push(retire - req.arrival);
         checksum = checksum.wrapping_add(r.ret);
         last = Some(r);
     }
@@ -392,6 +396,7 @@ fn drive<M: MemorySystem>(
             telemetry,
         },
         latency,
+        latencies,
         core_clocks: (0..cores.len() as u32).map(|c| cores.clock(c)).collect(),
         makespan: cores.makespan(),
         checksum,

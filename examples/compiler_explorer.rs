@@ -2,8 +2,9 @@
 //! stage of the TrackFM pipeline, showing exactly what the compiler injects
 //! (runtime init hook, guards, chunk streams, libc rewrites), plus the
 //! interprocedural view — call graph, per-function custody summaries, and
-//! per-site hoisted/elided guard attribution — and chunk-stream motion on a
-//! short per-group aggregation loop.
+//! per-site hoisted/elided guard attribution — chunk-stream motion on a
+//! short per-group aggregation loop, and span-guard motion on the kv
+//! store's `get`.
 //!
 //! ```sh
 //! cargo run --release --example compiler_explorer
@@ -13,6 +14,7 @@ use trackfm_suite::analysis::callgraph::CallGraph;
 use trackfm_suite::analysis::summaries::ModuleSummaries;
 use trackfm_suite::compiler::{ChunkingMode, CompilerOptions, TrackFmCompiler};
 use trackfm_suite::ir::{BinOp, FunctionBuilder, Intrinsic, Module, Signature, Type};
+use trackfm_suite::workloads::{open_loop, OpenLoopParams};
 
 fn listing1_program() -> Module {
     // The paper's Listing 1, as unmodified IR: allocate an array, sum it,
@@ -341,4 +343,50 @@ fn main() {
     println!("    hoists it into the preheader — one guard execution for the loop;");
     println!("  * the bucket counter access stays guarded in the loop (its pointer");
     println!("    is data-dependent), and the post-loop total load reuses custody.");
+
+    // ------------------------------------------------------------------
+    // Span guards: the kv store's `get` reads its 64-byte value in a
+    // `for w in 0..8` loop. Without motion each word pays a guard on the
+    // object the first word's guard already localized; with it, one span
+    // guard in the preheader takes custody of all 64 bytes.
+    // ------------------------------------------------------------------
+    let kv = open_loop(&OpenLoopParams {
+        keys: 64,
+        requests: 1,
+        ..OpenLoopParams::default()
+    })
+    .spec
+    .module;
+    for (title, guard_motion) in [("guard_motion off", false), ("span-guard motion", true)] {
+        let mut m = kv.clone();
+        let rep = TrackFmCompiler::new(CompilerOptions {
+            object_size: 64,
+            guard_motion,
+            ..Default::default()
+        })
+        .compile(&mut m, None);
+        println!(
+            "\n================ KV GET, {} ================",
+            title.to_uppercase()
+        );
+        println!(
+            "; {} guards inserted, {} hoisted, code x{:.4}",
+            rep.total_guards(),
+            rep.motion.hoisted,
+            rep.code_size_ratio()
+        );
+        print!("{m}");
+        for s in &rep.motion.sites {
+            println!(
+                "  f{}:v{}  hoisted {} loop level(s) as a {}-byte span guard",
+                s.func, s.value, s.levels, s.span
+            );
+        }
+    }
+    println!("\nSpan-guard things to look for:");
+    println!("  * off: the value loop's body guards `gep %vbase, %w` on every one of");
+    println!("    its 8 iterations;");
+    println!("  * on: `tfm.guard.read(%vbase, %len)` with len = 7*8 + 8 = 64 sits in");
+    println!("    the preheader and the body's gep is rebased on its result, so a");
+    println!("    hit pays 3 guards (probe slot, slab index, value span), not 10.");
 }

@@ -121,7 +121,9 @@ fn reports_are_byte_identical_across_systems_and_configs() {
 /// The multi-core open-loop scheduler (async issue/complete fetch pipeline,
 /// completion horizons, per-core clocks) on both engines: checksums,
 /// makespans, core clocks, latency distributions, and rendered reports all
-/// match, at one core and at four.
+/// match, at one core and at four. At 64-byte objects `get`'s value loop
+/// compiles to a span guard, whose two-operand form the bytecode engine
+/// lowers through the generic intrinsic path.
 #[test]
 fn open_loop_multicore_is_engine_invariant() {
     let ol = open_loop(&OpenLoopParams {
@@ -136,8 +138,16 @@ fn open_loop_multicore_is_engine_invariant() {
             RunConfig::local().with_cores(cores),
             RunConfig::trackfm(0.25).with_cores(cores),
             RunConfig::trackfm(0.25).with_cores(cores).with_tracing(),
+            RunConfig::trackfm(0.25)
+                .with_object_size(64)
+                .with_cores(cores)
+                .with_tracing(),
         ] {
-            let ctx = format!("cores={cores} system={}", cfg.system.name());
+            let ctx = format!(
+                "cores={cores} system={} object_size={}",
+                cfg.system.name(),
+                cfg.object_size
+            );
             let (tw, tw_rep) = execute_open_loop_with_report(&ol, &cfg);
             let (bc, bc_rep) =
                 execute_open_loop_with_report(&ol, &cfg.with_engine(ExecEngine::Bytecode));

@@ -4,13 +4,16 @@
 //! but this suite is the explicit gate: every workload, example-shaped
 //! program, and compiler configuration must produce a module on which
 //! `lint_module` reports **zero** may-heap accesses without guard custody.
-//! A deliberately tampered module proves the lint is not vacuous.
+//! Deliberately tampered modules — a deleted guard, a span guard one
+//! element short — prove the lint is not vacuous.
 
 use trackfm_suite::compiler::{lint_module, ChunkingMode, CompilerOptions, TrackFmCompiler};
 use trackfm_suite::ir::{
     BinOp, CastOp, FunctionBuilder, InstKind, Intrinsic, Module, Signature, Type,
 };
-use trackfm_suite::workloads::{analytics, hashmap, kmeans, memcached, nas, stream};
+use trackfm_suite::workloads::{
+    analytics, hashmap, kmeans, memcached, nas, open_loop, stream, OpenLoopParams,
+};
 
 fn configs() -> Vec<(&'static str, CompilerOptions)> {
     vec![
@@ -36,7 +39,28 @@ fn configs() -> Vec<(&'static str, CompilerOptions)> {
                 ..Default::default()
             },
         ),
+        (
+            // Short loops stay unchunked at the smallest object size, so
+            // guard motion turns their affine guards into span guards.
+            "objects-64",
+            CompilerOptions {
+                object_size: 64,
+                ..Default::default()
+            },
+        ),
     ]
+}
+
+/// The kv store's `get` (the kv-openloop benchmark's program): its
+/// 8-word value loop is the span-guard motion showcase.
+fn kv_get_module() -> Module {
+    open_loop(&OpenLoopParams {
+        keys: 64,
+        requests: 1,
+        ..OpenLoopParams::default()
+    })
+    .spec
+    .module
 }
 
 fn assert_lint_clean(tag: &str, module: &Module) {
@@ -92,6 +116,11 @@ fn lint_is_clean_on_every_workload_under_every_config() {
             TrackFmCompiler::new(opts).compile(&mut m, None);
             assert_lint_clean(&format!("{}/{cname}", spec.name), &m);
         }
+    }
+    for (cname, opts) in configs() {
+        let mut m = kv_get_module();
+        TrackFmCompiler::new(opts).compile(&mut m, None);
+        assert_lint_clean(&format!("kv-get/{cname}"), &m);
     }
 }
 
@@ -177,4 +206,46 @@ fn lint_catches_a_deleted_guard() {
     assert!(errors
         .iter()
         .any(|e| e.to_string().contains("never passed through a guard")));
+}
+
+/// Shortening a span guard by one element must trip the lint: the loop's
+/// last word would then lie outside the custody the guard took.
+#[test]
+fn lint_catches_a_span_one_element_short() {
+    let mut m = kv_get_module();
+    let report = TrackFmCompiler::new(CompilerOptions {
+        object_size: 64,
+        ..Default::default()
+    })
+    .compile(&mut m, None);
+    assert_lint_clean("pre-tamper", &m);
+    let site = report
+        .motion
+        .sites
+        .iter()
+        .find(|s| s.span > 0)
+        .expect("the value loop's guard leaves as a span guard");
+    assert_eq!(site.span, 64, "8 words of 8 bytes");
+
+    // Shrink the span's length constant from 64 to 56 bytes.
+    let fid = m.function_ids().next().unwrap();
+    let f = m.function_mut(fid);
+    let guard = trackfm_suite::ir::Value::from_index(site.value as usize);
+    let len = match f.kind(guard) {
+        InstKind::IntrinsicCall { args, .. } => args[1],
+        _ => unreachable!(),
+    };
+    f.inst_mut(len).kind = InstKind::ConstInt(56);
+    m.verify().expect("a 56-byte span is still well-formed IR");
+
+    let errors = lint_module(&m);
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    let e = &errors[0];
+    assert_eq!(e.function, "get");
+    assert_eq!(e.site, format!("get:v{}:load", e.inst));
+    let text = e.to_string();
+    assert!(text.contains("err_in `get` err_at bb"), "{text}");
+    assert!(text.contains(&format!("[get:v{}:load]", e.inst)), "{text}");
+    assert!(text.contains("outside the 56-byte span"), "{text}");
+    assert!(text.contains("bytes 0..64"), "{text}");
 }

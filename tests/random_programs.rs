@@ -10,13 +10,14 @@
 //!   behaviour;
 //! * the full TrackFM transformation preserves behaviour under far memory.
 //!
-//! Sibling generators add helper calls and invariant-slot loops (the
-//! interprocedural sweep) and analytics-Q4-shaped loop nests (the
+//! Sibling generators add helper calls, invariant-slot loops and short
+//! constant-trip affine loops (the interprocedural sweep, which also gates
+//! span-guard motion) and analytics-Q4-shaped loop nests (the
 //! chunk-stream-motion sweep).
 
 use trackfm_suite::compiler::{CostModel, TrackFmCompiler};
 use trackfm_suite::ir::{
-    parse_module, BinOp, CmpOp, FunctionBuilder, Module, Signature, Type, Value,
+    parse_module, BinOp, CastOp, CmpOp, FunctionBuilder, Module, Signature, Type, Value,
 };
 use trackfm_suite::runtime::FarMemoryConfig;
 use trackfm_suite::sim::{ExecStats, LocalMem, Machine, TrackFmMem};
@@ -308,18 +309,61 @@ enum ExtOp {
     /// Constant-trip loop RMW'ing one invariant scratch slot; the second
     /// payload bit decides whether the body also calls the pure helper.
     InvLoop(u8, u8, u8),
+    /// `(addend, start, trip, flags)`: a loop of 2–16 trips walking
+    /// `scratch` at a constant stride, folding each element into a stack
+    /// accumulator — the shape span-guard motion turns into one preheader
+    /// guard. Flag bit 0 picks the stride (4-byte `i32` or 8-byte `i64`
+    /// elements), bit 1 walks downwards, bit 2 writes each element back
+    /// (read-modify-write), bit 3 adds a pure helper call to the body, and
+    /// bit 4 recomputes the row base `scratch + 0` inside the body. The
+    /// cost model chunks every stride-4/8 loop over an invariant base at
+    /// the 4096-byte compile-time object size, so only in-body bases (a
+    /// pure chain guard motion moves with the guard, chunking does not
+    /// take) reach span motion. `start` places the run anywhere in the
+    /// 128-byte buffer, so many spans straddle its 64-byte object boundary.
+    AffineLoop(u8, u8, u8, u8),
 }
 
 fn random_ext_op(rng: &mut SplitMix64) -> ExtOp {
     let b8 = |rng: &mut SplitMix64| rng.next_u64() as u8;
-    match rng.next_below(9) {
+    match rng.next_below(10) {
         0..=3 => ExtOp::Base(random_op(rng)),
         4 => ExtOp::CallPure(b8(rng)),
         5 => ExtOp::CallBump(b8(rng), b8(rng)),
         6 => ExtOp::CallBumpStack(b8(rng), b8(rng)),
         7 => ExtOp::CallKiller(b8(rng)),
-        _ => ExtOp::InvLoop(b8(rng), b8(rng), b8(rng)),
+        8 => ExtOp::InvLoop(b8(rng), b8(rng), b8(rng)),
+        _ => ExtOp::AffineLoop(b8(rng), b8(rng), b8(rng), b8(rng)),
     }
+}
+
+/// A loop running `i` down from `first` to `last` (inclusive, `first ≥
+/// last`) by one: the header tests `i > last - 1`.
+fn down_loop(
+    b: &mut FunctionBuilder,
+    first: i64,
+    last: i64,
+    body: impl FnOnce(&mut FunctionBuilder, Value),
+) {
+    let pre = b.current_block();
+    let header = b.create_block();
+    let body_bb = b.create_block();
+    let exit = b.create_block();
+    let start = b.iconst(Type::I64, first);
+    let stop = b.iconst(Type::I64, last - 1);
+    b.br(header);
+    b.switch_to_block(header);
+    let i = b.phi(Type::I64, &[(pre, start)]);
+    let go = b.icmp(CmpOp::Sgt, i, stop);
+    b.cond_br(go, body_bb, exit);
+    b.switch_to_block(body_bb);
+    body(b, i);
+    let latch = b.current_block();
+    let minus_one = b.iconst(Type::I64, -1);
+    let next = b.binop(BinOp::Add, i, minus_one);
+    b.add_phi_incoming(i, latch, next);
+    b.br(header);
+    b.switch_to_block(exit);
 }
 
 /// [`build`]'s multi-function sibling: `main` plus a pure helper, an
@@ -460,6 +504,56 @@ fn build_interproc(ops: &[ExtOp], seed: i64) -> Module {
                     });
                     b.load(Type::I64, addr)
                 }
+                ExtOp::AffineLoop(x, start, trip, flags) => {
+                    let addend = pick(&vals, *x);
+                    let (ty, stride) = if flags & 1 == 0 {
+                        (Type::I32, 4u32)
+                    } else {
+                        (Type::I64, 8u32)
+                    };
+                    let elems = 128 / i64::from(stride);
+                    let trip = i64::from(trip % 15) + 2;
+                    let first = i64::from(*start) % (elems - trip + 1);
+                    let (down, rmw, with_call) = (flags & 2 != 0, flags & 4 != 0, flags & 8 != 0);
+                    let in_body_base = flags & 16 != 0;
+                    let acc = stack_slots[(start % 4) as usize];
+                    let body = |b: &mut FunctionBuilder, i: Value| {
+                        let row = if in_body_base {
+                            let zero = b.iconst(Type::I64, 0);
+                            b.gep(scratch, zero, 64, 0)
+                        } else {
+                            scratch
+                        };
+                        let a = b.gep(row, i, stride, 0);
+                        let x = b.load(ty, a);
+                        if rmw {
+                            let y = b.binop(BinOp::Add, x, x);
+                            b.store(a, y);
+                        }
+                        let wide = if ty == Type::I32 {
+                            b.cast(CastOp::Sext, x, Type::I64)
+                        } else {
+                            x
+                        };
+                        let inc = if with_call {
+                            b.call(pure_fn, vec![addend], Some(Type::I64))
+                        } else {
+                            addend
+                        };
+                        let cur = b.load(Type::I64, acc);
+                        let s1 = b.binop(BinOp::Add, cur, wide);
+                        let s2 = b.binop(BinOp::Xor, s1, inc);
+                        b.store(acc, s2);
+                    };
+                    if down {
+                        down_loop(&mut b, first + trip - 1, first, body);
+                    } else {
+                        let lo = b.iconst(Type::I64, first);
+                        let hi = b.iconst(Type::I64, first + trip);
+                        b.counted_loop(lo, hi, 1, body);
+                    }
+                    b.load(Type::I64, acc)
+                }
             };
             vals.push(v);
         }
@@ -476,13 +570,18 @@ fn build_interproc(ops: &[ExtOp], seed: i64) -> Module {
 /// * passes the (always fully interprocedural) static lint;
 /// * runs clean under the dynamic guard sanitizer;
 /// * returns the bit-identical result of a [`LocalMem`] oracle run;
-/// * never simulates *more* cycles than the all-off configuration.
+/// * never simulates *more* cycles than the all-off configuration;
+/// * with `guard_motion` on, never makes more guard calls than the same
+///   combination with it off (span guards pay at most one guard per
+///   object their loop touches, once per loop entry).
 ///
-/// The transforms must also demonstrably fire somewhere in the corpus.
+/// The transforms — span-guard motion included — must also demonstrably
+/// fire somewhere in the corpus.
 #[test]
 fn all_interproc_flag_combos_agree_on_random_corpus() {
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0008);
     let mut total_hoisted = 0usize;
+    let mut total_spans = 0usize;
     let mut interproc_elided_guards = false;
     let mut call_aware_extra_elision = false;
     for case in 0..200 {
@@ -497,6 +596,7 @@ fn all_interproc_flag_combos_agree_on_random_corpus() {
         let want = run_local(&m, a, b);
 
         let mut all_off_cycles = 0u64;
+        let mut guard_calls = [0u64; 8];
         let mut guards_by_combo = [0usize; 8];
         let mut elided_by_combo = [0usize; 8];
         for combo in 0..8u8 {
@@ -529,7 +629,18 @@ fn all_interproc_flag_combos_agree_on_random_corpus() {
                      ({all_off_cycles} -> {cyc})"
                 );
             }
+            guard_calls[combo as usize] = stats.total_guards() + stats.custody_exits;
+            if combo & 4 != 0 {
+                let off = guard_calls[(combo & !4) as usize];
+                assert!(
+                    guard_calls[combo as usize] <= off,
+                    "case {case} combo {combo:03b}: guard motion added guard calls \
+                     ({off} -> {})",
+                    guard_calls[combo as usize]
+                );
+            }
             total_hoisted += report.motion.hoisted;
+            total_spans += report.motion.sites.iter().filter(|s| s.span > 0).count();
             guards_by_combo[combo as usize] = report.total_guards();
             elided_by_combo[combo as usize] = report.elision.eliminated;
         }
@@ -541,6 +652,7 @@ fn all_interproc_flag_combos_agree_on_random_corpus() {
         }
     }
     assert!(total_hoisted > 0, "guard motion must fire in the corpus");
+    assert!(total_spans > 0, "span-guard motion must fire in the corpus");
     assert!(
         interproc_elided_guards,
         "interproc classification must skip guards somewhere in the corpus"

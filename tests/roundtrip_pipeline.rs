@@ -2,8 +2,9 @@
 //!
 //! The unit tests in `tfm-ir` round-trip hand-written modules; this suite
 //! round-trips what the compiler actually emits — runtime-init hooks, guard
-//! intrinsics, chunked loops with phi-carried custody, libc rewrites — for
-//! every workload under several configurations, plus randomized programs.
+//! intrinsics (span guards included), chunked loops with phi-carried
+//! custody, libc rewrites — for every workload under several
+//! configurations, plus randomized programs.
 //!
 //! Exact text equality with the in-memory module is not required (the
 //! printer names values by arena index and the pipeline's `insert_before`
@@ -16,7 +17,9 @@ use trackfm_suite::compiler::{ChunkingMode, CompilerOptions, CostModel, TrackFmC
 use trackfm_suite::ir::{parse_module, Module};
 use trackfm_suite::runtime::FarMemoryConfig;
 use trackfm_suite::sim::{Machine, TrackFmMem};
-use trackfm_suite::workloads::{analytics, hashmap, kmeans, memcached, nas, stream, SplitMix64};
+use trackfm_suite::workloads::{
+    analytics, hashmap, kmeans, memcached, nas, open_loop, stream, OpenLoopParams, SplitMix64,
+};
 
 /// Compiler configurations worth printing: each exercises different
 /// pipeline output (guard shapes, chunk streams, O1 cleanups, elision).
@@ -41,6 +44,14 @@ fn configs() -> Vec<(&'static str, CompilerOptions)> {
             "o1",
             CompilerOptions {
                 o1: true,
+                ..Default::default()
+            },
+        ),
+        (
+            // Short loops stay unchunked, so guard motion emits span guards.
+            "objects-64",
+            CompilerOptions {
+                object_size: 64,
                 ..Default::default()
             },
         ),
@@ -129,15 +140,26 @@ fn every_workload_pipeline_output_round_trips() {
     ]
     .into_iter()
     .chain(nas::all(&nas::NasParams { shrink: 100 }))
+    .chain(std::iter::once(
+        open_loop(&OpenLoopParams {
+            keys: 64,
+            requests: 1,
+            ..OpenLoopParams::default()
+        })
+        .spec,
+    ))
     .collect::<Vec<_>>();
 
+    let mut spans = 0;
     for spec in &specs {
         for (cname, opts) in configs() {
             let mut m = spec.module.clone();
-            TrackFmCompiler::new(opts).compile(&mut m, None);
+            let report = TrackFmCompiler::new(opts).compile(&mut m, None);
+            spans += report.motion.sites.iter().filter(|s| s.span > 0).count();
             assert_roundtrip(&format!("{}/{cname}", spec.name), &m);
         }
     }
+    assert!(spans > 0, "some pipeline output must carry a span guard");
 }
 
 #[test]
