@@ -21,8 +21,11 @@ cargo test -q --test failover
 # dynamic guard sanitizer over the randomized corpus — including the
 # 200-seed interprocedural sweep that runs every on/off combination of
 # {interproc, call_aware_kills, guard_motion} against a LocalMem oracle,
-# and the 200-seed loop-nest sweep that runs stream_motion off and on
-# against a LocalMem oracle (motion never pays more locality guards).
+# the 200-seed loop-nest sweep that runs stream_motion off and on
+# against a LocalMem oracle (motion never pays more locality guards), and
+# the 200-seed overwrite sweep over write-only fill loops that runs
+# overwrite_streams off and on against the same oracle (on never fetches
+# more bytes).
 cargo test -q --test lint_gate
 cargo test -q --test random_programs
 # Tracing suite: causal decomposition of guard latency under chaos,

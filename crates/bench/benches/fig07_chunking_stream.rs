@@ -2,6 +2,8 @@
 //! fraction sweeps (claim C1/E1: chunking eliminates fast-path guards;
 //! speedup grows with the number of memory accesses per loop and leans
 //! toward the right-hand, guard-bound side).
+//!
+//! Both arms run the paper's chunk streams (overwrite streams off).
 
 use tfm_bench::{f2, fractions, print_table, scale};
 use tfm_workloads::runner::{execute, RunConfig};
@@ -17,9 +19,12 @@ fn main() {
         for f in fractions() {
             // Prefetch off on both arms: Fig. 7 isolates guard elimination
             // (Fig. 11 adds prefetching).
-            let mut naive = RunConfig::trackfm(f).with_prefetch(false);
+            let paper = RunConfig::trackfm(f)
+                .with_prefetch(false)
+                .with_overwrite_streams(false);
+            let mut naive = paper;
             naive.compiler.chunking = ChunkingMode::Off;
-            let chunked = RunConfig::trackfm(f).with_prefetch(false);
+            let chunked = paper;
 
             let rn = execute(&spec, &naive);
             let rc = execute(&spec, &chunked);

@@ -2,13 +2,18 @@
 //! high spatial locality benefits from larger objects).
 //!
 //! Reported as far-memory bandwidth (MB/s of application data processed),
-//! STREAM's native metric.
+//! STREAM's native metric. Runs the paper's chunk streams (overwrite streams
+//! off), which fetch the destination array too.
 
 use tfm_bench::{f2, print_table, scale, CLOCK_HZ};
 use tfm_workloads::runner::{execute, RunConfig};
 use tfm_workloads::stream::{copy, StreamParams};
 
 const SIZES: [u64; 5] = [4096, 2048, 1024, 512, 256];
+
+fn paper(local_fraction: f64) -> RunConfig {
+    RunConfig::trackfm(local_fraction).with_overwrite_streams(false)
+}
 
 fn main() {
     let p = StreamParams {
@@ -22,7 +27,7 @@ fn main() {
     for f in [0.1, 0.25, 0.5, 0.75, 1.0] {
         let mut row = vec![f2(f)];
         for os in SIZES {
-            let out = execute(&spec, &RunConfig::trackfm(f).with_object_size(os));
+            let out = execute(&spec, &paper(f).with_object_size(os));
             let mbs = app_bytes / out.result.seconds(CLOCK_HZ) / 1e6;
             row.push(format!("{mbs:.0}"));
         }
@@ -36,7 +41,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for os in SIZES {
-        let out = execute(&spec, &RunConfig::trackfm(0.25).with_object_size(os));
+        let out = execute(&spec, &paper(0.25).with_object_size(os));
         let mbs = app_bytes / out.result.seconds(CLOCK_HZ) / 1e6;
         rows.push(vec![
             format!("{os}B"),

@@ -1,6 +1,8 @@
 //! Fig. 11: speedup of prefetching coupled with loop chunking vs. chunking
 //! alone on STREAM Sum/Copy (claim C5/E5). The impact is largest at the
-//! left (network-bound) side and fades as local memory grows.
+//! left (network-bound) side and fades as local memory grows. Both arms run
+//! the paper's chunk streams (overwrite streams off), so Copy's destination
+//! stream prefetches too.
 
 use tfm_bench::{f2, fractions, print_table, scale};
 use tfm_workloads::runner::{execute, RunConfig};
@@ -13,8 +15,9 @@ fn main() {
     for (label, spec) in [("Sum", sum(&p)), ("Copy", copy(&p))] {
         let mut rows = Vec::new();
         for f in fractions() {
-            let with_pf = execute(&spec, &RunConfig::trackfm(f).with_prefetch(true));
-            let without = execute(&spec, &RunConfig::trackfm(f).with_prefetch(false));
+            let paper = RunConfig::trackfm(f).with_overwrite_streams(false);
+            let with_pf = execute(&spec, &paper.with_prefetch(true));
+            let without = execute(&spec, &paper.with_prefetch(false));
             let speedup = without.result.stats.cycles as f64 / with_pf.result.stats.cycles as f64;
             let rt = with_pf.result.runtime.unwrap();
             rows.push(vec![

@@ -32,6 +32,18 @@
 //! entry that starts inside it pays the boundary check, not a locality
 //! guard. Streams climb one loop level per round, as guards do in
 //! [`crate::passes::guard_motion`], and keep their `Value` ids.
+//!
+//! **Overwrite streams** (beyond the paper, [`ChunkingOptions::overwrite`])
+//! mark a stream that will overwrite every byte of each object it enters at
+//! the first byte: its only access is one store, the store's width equals
+//! the stride, the IV steps by +1 and indexes the store (plus a constant),
+//! and the store's block dominates every latch, so each iteration writes
+//! the element right after the previous one. Such a stream carries
+//! `CHUNK_FLAG_OVERWRITE` and drops `CHUNK_FLAG_PREFETCH` — fetching ahead
+//! an object it will overwrite only wastes the link — and the runtime
+//! claims those objects instead of fetching them (DESIGN.md §6m). The
+//! contiguity holds within one loop entry only, so motion leaves overwrite
+//! streams in their own loop.
 
 use crate::cost::CostModel;
 use crate::passes::guard_motion::HoistedSite;
@@ -41,8 +53,8 @@ use tfm_analysis::induction::{basic_ivs, strided_accesses, LoopAccess};
 use tfm_analysis::loops::{ensure_preheader, split_edge, LoopForest, NaturalLoop};
 use tfm_analysis::profile::Profile;
 use tfm_ir::{
-    Block, FuncId, Function, InstData, InstKind, Intrinsic, Module, Type, Value,
-    CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE,
+    BinOp, Block, CastOp, FuncId, Function, InstData, InstKind, Intrinsic, Module, Type, Value,
+    CHUNK_FLAG_OVERWRITE, CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE,
 };
 
 /// When to apply the chunking transform.
@@ -69,6 +81,9 @@ pub struct ChunkingOptions {
     /// Hoist inner-loop streams into enclosing loops' preheaders when legal
     /// (chunk-stream motion; off reproduces the paper's placement).
     pub stream_motion: bool,
+    /// Mark dense forward write-only streams `CHUNK_FLAG_OVERWRITE` (off
+    /// reproduces the paper's streams, which fetch every object).
+    pub overwrite: bool,
 }
 
 /// What the pass did (feeds the compile report and Figs. 8/15).
@@ -88,6 +103,8 @@ pub struct ChunkingOutcome {
     /// Per-stream motion attribution: the `tfm.chunk.begin` value and the
     /// loop levels it climbed.
     pub hoisted: Vec<HoistedSite>,
+    /// Streams marked `CHUNK_FLAG_OVERWRITE`.
+    pub overwrite_streams: usize,
 }
 
 impl ChunkingOutcome {
@@ -99,6 +116,7 @@ impl ChunkingOutcome {
         self.skipped_low_benefit += other.skipped_low_benefit;
         self.streams_hoisted += other.streams_hoisted;
         self.hoisted.extend(other.hoisted);
+        self.overwrite_streams += other.overwrite_streams;
     }
 }
 
@@ -210,7 +228,8 @@ fn run_on_loop(
         }
     }
 
-    let mut approved: Vec<(Value, Vec<LoopAccess>)> = Vec::new();
+    let mut approved: Vec<(Value, Vec<LoopAccess>, bool)> = Vec::new();
+    let mut dt = None;
     for (base, _phi, list) in groups {
         let elem = list.iter().map(|a| a.element_size()).max().unwrap_or(1);
         let density = opts.object_size as f64 / elem as f64;
@@ -220,7 +239,15 @@ fn run_on_loop(
             ChunkingMode::CostModel => cost.should_chunk(density, avg_trips),
         };
         if take {
-            approved.push((base, list));
+            let overwrite = match list.as_slice() {
+                [a] if opts.overwrite && a.is_store => {
+                    let dt = dt.get_or_insert_with(|| DomTree::compute(f));
+                    let at = f.inst(a.inst).block;
+                    is_dense_forward(f, dt, lp, a.gep, u64::from(a.access_size), at)
+                }
+                _ => false,
+            };
+            approved.push((base, list, overwrite));
         } else {
             outcome.skipped_low_benefit += 1;
         }
@@ -235,13 +262,16 @@ fn run_on_loop(
     let preheader = ensure_preheader(f, lp);
     let ph_term = f.terminator(preheader).expect("preheader terminated");
     let mut handles = Vec::new();
-    for (base, list) in &approved {
+    for (base, list, overwrite) in &approved {
         let write = list.iter().any(|a| a.is_store);
         let mut flags = 0;
         if write {
             flags |= CHUNK_FLAG_WRITE;
         }
-        if opts.prefetch {
+        if *overwrite {
+            flags |= CHUNK_FLAG_OVERWRITE;
+            outcome.overwrite_streams += 1;
+        } else if opts.prefetch {
             flags |= CHUNK_FLAG_PREFETCH;
         }
         let flags_c = f.insert_before(
@@ -314,6 +344,51 @@ fn run_on_loop(
     outcome
 }
 
+/// The overwrite rule, shared with `tfm-lint`: true when a `width`-byte
+/// store through `gep`, in block `at` of `lp`, writes the element right
+/// after the one the previous iteration wrote. `gep`'s scale is `width`;
+/// its index is a +1 basic IV of `lp` itself, widened or offset by a
+/// constant (a narrowing or a `c − iv` index could wrap or run backward);
+/// and `at` dominates every latch, so no iteration skips its element.
+pub(crate) fn is_dense_forward(
+    f: &Function,
+    dt: &DomTree,
+    lp: &NaturalLoop,
+    gep: Value,
+    width: u64,
+    at: Block,
+) -> bool {
+    let InstKind::Gep { index, scale, .. } = *f.kind(gep) else {
+        return false;
+    };
+    u64::from(scale) == width
+        && lp.latches.iter().all(|&l| dt.dominates(at, l))
+        && basic_ivs(f, lp)
+            .iter()
+            .any(|iv| iv.step == 1 && indexes_iv_forward(f, index, iv.phi))
+}
+
+/// True when `idx` is `phi` itself, or `phi` widened (`sext`/`zext`) or
+/// offset by a constant (`phi ± c`, `c + phi`), up to four steps deep.
+fn indexes_iv_forward(f: &Function, mut idx: Value, phi: Value) -> bool {
+    for _ in 0..4 {
+        if idx == phi {
+            return true;
+        }
+        idx = match f.kind(idx) {
+            InstKind::Cast(CastOp::Sext | CastOp::Zext, x) => *x,
+            InstKind::Binary(BinOp::Add | BinOp::Sub, x, c)
+                if matches!(f.kind(*c), InstKind::ConstInt(_)) =>
+            {
+                *x
+            }
+            InstKind::Binary(BinOp::Add, c, x) if matches!(f.kind(*c), InstKind::ConstInt(_)) => *x,
+            _ => return false,
+        };
+    }
+    false
+}
+
 /// True for a function a loop may call while a hoisted stream holds its
 /// window: no loop, no call, no intrinsic — a bounded amount of work that
 /// can neither free nor evacuate a pinned object.
@@ -380,6 +455,8 @@ fn hoist_streams(f: &mut Function, func: FuncId, leaves: &HashSet<FuncId>) -> Ve
 /// L's parent P, re-homing its `tfm.chunk.end`s from L's exits to P's.
 /// Returns false (changing nothing) unless:
 ///
+/// * `h` is not an overwrite stream (a claimed object is only fully written
+///   within one loop entry);
 /// * `h` sits in L's preheader, and its base is defined outside P (its
 ///   flags too, or they are a constant that can move with it);
 /// * L's preheader dominates every latch of P, so L runs on each iteration;
@@ -412,7 +489,8 @@ fn hoist_stream(
     };
     let (base, flags) = (args[0], args[1]);
     let flags_inside = outer.contains(f.inst(flags).block);
-    if outer.contains(f.inst(base).block)
+    if !matches!(f.kind(flags), InstKind::ConstInt(c) if c & CHUNK_FLAG_OVERWRITE == 0)
+        || outer.contains(f.inst(base).block)
         || (flags_inside && !matches!(f.kind(flags), InstKind::ConstInt(_)))
         || !outer.latches.iter().all(|&l| dt.dominates(ph, l))
         || !only_straight_line_work(f, forest, outer, inner, leaves)
@@ -608,6 +686,7 @@ mod tests {
             object_size: 4096,
             prefetch: true,
             stream_motion: false,
+            overwrite: false,
         }
     }
 
@@ -1091,6 +1170,170 @@ mod tests {
         for b in ends {
             assert!(!top.contains(b), "end of {h} inside the nest");
             assert!(f.preds(b).iter().all(|p| top.contains(*p)));
+        }
+    }
+
+    /// The write-only loop shapes the overwrite rule must tell apart.
+    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+    enum Fill {
+        /// `a[i] = i` over `i64`s: dense, forward, every iteration.
+        Dense,
+        /// `a[i + 1] = i`: still dense.
+        Offset,
+        /// `a[i] = i` storing an `i32` into 8-byte slots: gaps.
+        Narrow,
+        /// `i += 2`, 4-byte scale, 8-byte store: stride 8, but step 2.
+        Step2,
+        /// `if i & c { a[i] = i }`: not every iteration writes.
+        Conditional,
+        /// `a[i] = a[i] + 1`: the stream reads too.
+        ReadModifyWrite,
+        /// `a[1000 - i] = i`: runs backward.
+        Reverse,
+    }
+
+    fn fill_module(shape: Fill) -> (Module, FuncId) {
+        let mut m = Module::new("fill");
+        let id = m.declare_function(
+            "main",
+            Signature::new(vec![Type::Ptr, Type::I64], Some(Type::I64)),
+        );
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let (a, c) = (b.param(0), b.param(1));
+            let zero = b.iconst(Type::I64, 0);
+            let n = b.iconst(Type::I64, 1000);
+            let step = if shape == Fill::Step2 { 2 } else { 1 };
+            b.counted_loop(zero, n, step, |b, i| {
+                let addr = match shape {
+                    Fill::Offset => {
+                        let one = b.iconst(Type::I64, 1);
+                        let j = b.binop(BinOp::Add, i, one);
+                        b.gep(a, j, 8, 0)
+                    }
+                    Fill::Reverse => {
+                        let j = b.binop(BinOp::Sub, n, i);
+                        b.gep(a, j, 8, 0)
+                    }
+                    Fill::Step2 => b.gep(a, i, 4, 0),
+                    _ => b.gep(a, i, 8, 0),
+                };
+                match shape {
+                    Fill::Narrow => {
+                        let x = b.cast(tfm_ir::CastOp::Trunc, i, Type::I32);
+                        b.store(addr, x);
+                    }
+                    Fill::Conditional => {
+                        let bit = b.binop(BinOp::And, i, c);
+                        let (then_bb, join) = (b.create_block(), b.create_block());
+                        b.cond_br(bit, then_bb, join);
+                        b.switch_to_block(then_bb);
+                        b.store(addr, i);
+                        b.br(join);
+                        b.switch_to_block(join);
+                    }
+                    Fill::ReadModifyWrite => {
+                        let x = b.load(Type::I64, addr);
+                        let y = b.binop(BinOp::Add, x, c);
+                        b.store(addr, y);
+                    }
+                    _ => b.store(addr, i),
+                }
+            });
+            b.ret(Some(zero));
+        }
+        m.verify().unwrap();
+        (m, id)
+    }
+
+    /// The flags of every `tfm.chunk.begin` in `main`.
+    fn begin_flags(m: &Module, id: FuncId) -> Vec<i64> {
+        let f = m.function(id);
+        stream_insts(f)
+            .into_iter()
+            .filter(|(_, intr, _)| *intr == Intrinsic::ChunkBegin)
+            .map(|(_, _, args)| match f.kind(args[1]) {
+                InstKind::ConstInt(c) => *c,
+                k => panic!("non-constant flags {k:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_dense_forward_write_only_streams_are_overwrite() {
+        for (shape, want) in [
+            (Fill::Dense, true),
+            (Fill::Offset, true),
+            (Fill::Narrow, false),
+            (Fill::Step2, false),
+            (Fill::Conditional, false),
+            (Fill::ReadModifyWrite, false),
+            (Fill::Reverse, false),
+        ] {
+            for overwrite in [false, true] {
+                let (mut m, id) = fill_module(shape);
+                let o = ChunkingOptions {
+                    overwrite,
+                    ..opts(ChunkingMode::AllLoops)
+                };
+                let out = run(&mut m, id, &CostModel::default(), &o, None);
+                m.verify().unwrap();
+                assert_eq!(out.streams, 1, "{shape:?}");
+                let flags = if want && overwrite {
+                    // Prefetching an object the stream overwrites is waste.
+                    CHUNK_FLAG_WRITE | CHUNK_FLAG_OVERWRITE
+                } else {
+                    CHUNK_FLAG_WRITE | CHUNK_FLAG_PREFETCH
+                };
+                assert_eq!(begin_flags(&m, id), vec![flags], "{shape:?} {overwrite}");
+                assert_eq!(out.overwrite_streams, usize::from(want && overwrite));
+            }
+        }
+    }
+
+    #[test]
+    fn overwrite_streams_stay_in_their_loop() {
+        // for g { for r in offs[g]..offs[g+1] { rows[r] = r } }: motion
+        // would hoist the rows stream, but a claimed object is only known
+        // to be written whole within one entry of the inner loop.
+        let build = || {
+            let mut m = Module::new("nest");
+            let id = m.declare_function(
+                "main",
+                Signature::new(vec![Type::Ptr, Type::Ptr], Some(Type::I64)),
+            );
+            {
+                let mut b = FunctionBuilder::new(m.function_mut(id));
+                let (offs, rows) = (b.param(0), b.param(1));
+                let zero = b.iconst(Type::I64, 0);
+                let n = b.iconst(Type::I64, 64);
+                b.counted_loop(zero, n, 1, |b, g| {
+                    let oa = b.gep(offs, g, 8, 0);
+                    let ob = b.gep(offs, g, 8, 8);
+                    let start = b.load(Type::I64, oa);
+                    let end = b.load(Type::I64, ob);
+                    b.counted_loop(start, end, 1, |b, r| {
+                        let a = b.gep(rows, r, 8, 0);
+                        b.store(a, r);
+                    });
+                });
+                b.ret(Some(zero));
+            }
+            m.verify().unwrap();
+            (m, id)
+        };
+        for (overwrite, hoisted) in [(false, 1), (true, 0)] {
+            let (mut m, id) = build();
+            let o = ChunkingOptions {
+                stream_motion: true,
+                overwrite,
+                ..opts(ChunkingMode::CostModel)
+            };
+            let out = run(&mut m, id, &CostModel::default(), &o, None);
+            m.verify().unwrap();
+            assert_eq!(out.streams, 2);
+            assert_eq!(out.overwrite_streams, usize::from(overwrite));
+            assert_eq!(out.streams_hoisted, hoisted, "overwrite={overwrite}");
         }
     }
 

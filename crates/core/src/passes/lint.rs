@@ -19,6 +19,14 @@
 //! `tfm.chunk.begin` flags include the write bit), otherwise dirty tracking
 //! is lost and writebacks silently dropped.
 //!
+//! An overwrite stream (`tfm.chunk.begin` flags with `CHUNK_FLAG_OVERWRITE`)
+//! lets the runtime skip fetching the objects it enters, so it must keep
+//! the contract that makes that sound: exactly one `tfm.chunk.deref`, used
+//! only as a store address (a load would read bytes never fetched), over a
+//! dense forward index — `gep base, iv(+c), width` with a +1 IV of a loop
+//! whose latches the store dominates (a skipped iteration would leave a
+//! gap the runtime counts as written).
+//!
 //! Accesses covered by a span guard `tfm.guard.read|write(lo, len)` must
 //! also provably stay inside `[lo, lo + len)`: the access pointer must be
 //! the guard's result (or `lo`) plus `gep`s whose indices are constants or
@@ -31,6 +39,7 @@
 //! Modules are linted *post*-pipeline, where any surviving `malloc`/`calloc`
 //! is a pruned local allocation (see `passes::libc::run_pruned`).
 
+use crate::passes::chunking::is_dense_forward;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use tfm_analysis::dom::DomTree;
@@ -39,7 +48,9 @@ use tfm_analysis::induction::{basic_ivs, exact_trip_count, iv_range};
 use tfm_analysis::loops::LoopForest;
 use tfm_analysis::points_to::{MemClass, PointsTo};
 use tfm_analysis::summaries::ModuleSummaries;
-use tfm_ir::{FuncId, Function, InstKind, Intrinsic, Module, Value, CHUNK_FLAG_WRITE};
+use tfm_ir::{
+    FuncId, Function, InstKind, Intrinsic, Module, Value, CHUNK_FLAG_OVERWRITE, CHUNK_FLAG_WRITE,
+};
 
 /// One uncovered (or wrongly covered) may-heap access.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -186,6 +197,136 @@ fn span_violation(
     }
 }
 
+/// The intrinsic kind and arguments of `v`, if it is an intrinsic call.
+fn intrinsic_of(f: &Function, v: Value) -> Option<(Intrinsic, &[Value])> {
+    match f.kind(v) {
+        InstKind::IntrinsicCall { intr, args } => Some((*intr, args.as_slice())),
+        _ => None,
+    }
+}
+
+/// Why the store through overwrite-stream deref `cd` is not dense forward,
+/// if it is not: `cd` must address `gep base, idx, width` over the stream's
+/// base, passing the chunking pass's overwrite rule in some loop.
+fn overwrite_density_violation(
+    f: &Function,
+    dt: &DomTree,
+    forest: &LoopForest,
+    base: Value,
+    cd: Value,
+    width: u64,
+) -> Option<String> {
+    let gep = intrinsic_of(f, cd)?.1[1];
+    match *f.kind(gep) {
+        InstKind::Gep { base: b, scale, .. } if b == base && u64::from(scale) == width => {}
+        _ => {
+            return Some(format!(
+                "its address is not `gep %{}, idx, {width}` (stride must equal the \
+                 {width}-byte store width)",
+                base.index()
+            ))
+        }
+    }
+    let at = f.inst(cd).block;
+    let dense = forest
+        .loops
+        .iter()
+        .any(|l| l.contains(at) && is_dense_forward(f, dt, l, gep, width, at));
+    (!dense).then(|| {
+        "its index is not a +1 induction variable of a loop whose every iteration \
+         runs the store"
+            .into()
+    })
+}
+
+/// Checks every overwrite stream of `f` against the contract in the module
+/// docs, reporting at the offending access.
+fn lint_overwrite_streams(name: &str, f: &Function, errors: &mut Vec<LintError>) {
+    let live = f.live_insts();
+    let overwrite = |v: Value| match intrinsic_of(f, v) {
+        Some((Intrinsic::ChunkBegin, args)) => {
+            matches!(f.kind(args[1]), InstKind::ConstInt(c) if c & CHUNK_FLAG_OVERWRITE != 0)
+        }
+        _ => false,
+    };
+    let begins: Vec<Value> = live.iter().copied().filter(|&v| overwrite(v)).collect();
+    if begins.is_empty() {
+        return;
+    }
+    let dt = DomTree::compute(f);
+    let forest = LoopForest::compute(f, &dt);
+    let err = |v: Value, what: &str, message: String| LintError {
+        function: name.to_string(),
+        block: f.inst(v).block.index(),
+        inst: v.index(),
+        site: format!("{name}:v{}:{what}", v.index()),
+        message,
+    };
+    for h in begins {
+        let base = intrinsic_of(f, h).expect("a chunk.begin").1[0];
+        let derefs: Vec<Value> = live
+            .iter()
+            .copied()
+            .filter(|&v| {
+                matches!(intrinsic_of(f, v), Some((Intrinsic::ChunkDeref, args)) if args[0] == h)
+            })
+            .collect();
+        for &cd in derefs.iter().skip(1) {
+            errors.push(err(
+                cd,
+                "deref",
+                format!(
+                    "overwrite stream %{} has {} derefs; it may have only one access",
+                    h.index(),
+                    derefs.len()
+                ),
+            ));
+        }
+        for &cd in &derefs {
+            for &u in &live {
+                let mut uses = false;
+                f.kind(u).for_each_operand(|o| uses |= o == cd);
+                if !uses {
+                    continue;
+                }
+                match f.kind(u) {
+                    InstKind::Load { .. } => errors.push(err(
+                        u,
+                        "load",
+                        format!(
+                            "load through overwrite stream %{} would read bytes its claim \
+                             never fetched",
+                            h.index()
+                        ),
+                    )),
+                    InstKind::Store { ptr, val } if *ptr == cd && *val != cd => {
+                        let width = f.ty(*val).map_or(8, |t| u64::from(t.size()));
+                        if let Some(why) =
+                            overwrite_density_violation(f, &dt, &forest, base, cd, width)
+                        {
+                            errors.push(err(
+                                u,
+                                "store",
+                                format!("overwrite stream %{} is not dense: {why}", h.index()),
+                            ));
+                        }
+                    }
+                    _ => errors.push(err(
+                        u,
+                        "use",
+                        format!(
+                            "overwrite stream %{}'s pointer %{} is used other than as a \
+                             store address",
+                            h.index(),
+                            cd.index()
+                        ),
+                    )),
+                }
+            }
+        }
+    }
+}
+
 fn lint_function(
     name: &str,
     f: &Function,
@@ -308,6 +449,7 @@ pub fn lint_module(module: &Module) -> Vec<LintError> {
         let pt = sums.points_to_for(fid, f, &locals[&fid]);
         let ag = AvailableGuards::compute_with(f, Some(sums.effects_for(fid, f)));
         lint_function(&f.name, f, &pt, &ag, &mut errors);
+        lint_overwrite_streams(&f.name, f, &mut errors);
     }
     errors
 }
@@ -488,6 +630,99 @@ mod tests {
             }
             assert_eq!(lint_module(&m).len(), want_errs, "flags={flags}");
         }
+    }
+
+    /// `for i in 0..1000 { a[i] = i }` through the full pipeline, which
+    /// makes its stream an overwrite stream. Returns the module, the
+    /// stream's deref and the store through it.
+    fn compiled_fill() -> (Module, Value, Value) {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(id));
+            let a = b.param(0);
+            let zero = b.iconst(Type::I64, 0);
+            let n = b.iconst(Type::I64, 1000);
+            b.counted_loop(zero, n, 1, |b, i| {
+                let addr = b.gep(a, i, 8, 0);
+                b.store(addr, i);
+            });
+            b.ret(Some(zero));
+        }
+        let report = crate::TrackFmCompiler::default().compile(&mut m, None);
+        assert_eq!(report.chunking.overwrite_streams, 1);
+        assert!(lint_module(&m).is_empty());
+        let f = m.function(id);
+        let cd = f
+            .live_insts()
+            .into_iter()
+            .find(|&v| matches!(intrinsic_of(f, v), Some((Intrinsic::ChunkDeref, _))))
+            .unwrap();
+        let st = f
+            .live_insts()
+            .into_iter()
+            .find(|&v| matches!(f.kind(v), InstKind::Store { ptr, .. } if *ptr == cd))
+            .unwrap();
+        (m, cd, st)
+    }
+
+    fn only_error(m: &Module) -> LintError {
+        let errs = lint_module(m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        errs.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn load_through_an_overwrite_stream_is_flagged() {
+        let (mut m, cd, st) = compiled_fill();
+        let f = m.function_mut(FuncId(0));
+        let block = f.inst(st).block;
+        let ld = f.insert_after(
+            st,
+            tfm_ir::InstData {
+                kind: InstKind::Load { ptr: cd },
+                ty: Some(Type::I64),
+                block,
+            },
+        );
+        let e = only_error(&m);
+        assert_eq!(e.site, format!("f:v{}:load", ld.index()));
+        assert!(
+            e.message
+                .contains("would read bytes its claim never fetched"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn second_deref_on_an_overwrite_stream_is_flagged() {
+        let (mut m, cd, st) = compiled_fill();
+        let f = m.function_mut(FuncId(0));
+        let data = f.inst(cd).clone();
+        let cd2 = f.insert_after(st, data);
+        let e = only_error(&m);
+        assert_eq!(e.inst, cd2.index());
+        assert!(e.message.contains("has 2 derefs"), "{e}");
+    }
+
+    #[test]
+    fn sparse_overwrite_stream_is_flagged() {
+        let (mut m, cd, st) = compiled_fill();
+        let f = m.function_mut(FuncId(0));
+        let InstKind::IntrinsicCall { args, .. } = f.kind(cd) else {
+            unreachable!()
+        };
+        let gep = args[1];
+        if let InstKind::Gep { scale, .. } = &mut f.inst_mut(gep).kind {
+            *scale = 16;
+        }
+        let e = only_error(&m);
+        assert_eq!(e.site, format!("f:v{}:store", st.index()));
+        assert!(
+            e.message
+                .contains("stride must equal the 8-byte store width"),
+            "{e}"
+        );
     }
 
     #[test]

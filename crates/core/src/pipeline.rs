@@ -76,6 +76,12 @@ pub struct CompilerOptions {
     /// entry. Off reproduces the paper's per-loop placement (the Fig. 8/15
     /// arms); on for everything else.
     pub stream_motion: bool,
+    /// Overwrite streams: mark a chunk stream whose only access is a dense
+    /// forward store `CHUNK_FLAG_OVERWRITE`, so the runtime claims each
+    /// object it will fully overwrite instead of fetching the stale remote
+    /// copy. Off reproduces the paper's streams (the Fig. 7/10/11/12 arms);
+    /// on for everything else.
+    pub overwrite_streams: bool,
     /// Name of the entry function that receives the runtime-init hook.
     pub main_name: &'static str,
 }
@@ -96,6 +102,7 @@ impl Default for CompilerOptions {
             call_aware_kills: true,
             guard_motion: true,
             stream_motion: true,
+            overwrite_streams: true,
             main_name: "main",
         }
     }
@@ -197,6 +204,7 @@ impl TrackFmCompiler {
             object_size: opts.object_size,
             prefetch: opts.prefetch,
             stream_motion: opts.stream_motion,
+            overwrite: opts.overwrite_streams,
         };
         for id in module.function_ids().collect::<Vec<_>>() {
             report.chunking.merge(chunking::run(

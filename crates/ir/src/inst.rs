@@ -326,6 +326,15 @@ pub const MAX_SPAN_BYTES: u64 = 64;
 pub const CHUNK_FLAG_WRITE: i64 = 1;
 /// Flag bit for [`Intrinsic::ChunkBegin`]: enable stride prefetching.
 pub const CHUNK_FLAG_PREFETCH: i64 = 2;
+/// Flag bit for [`Intrinsic::ChunkBegin`]: the stream is *overwrite* — its
+/// one access is a store that, on every loop entry, writes consecutive
+/// elements forward with no gap, so an object it enters at the first byte
+/// is fully overwritten before the stream leaves it forward. The runtime
+/// may then claim such an object instead of fetching its stale remote copy.
+/// Requires [`CHUNK_FLAG_WRITE`].
+pub const CHUNK_FLAG_OVERWRITE: i64 = 4;
+/// Every defined [`Intrinsic::ChunkBegin`] flag bit.
+pub const CHUNK_FLAGS_ALL: i64 = CHUNK_FLAG_WRITE | CHUNK_FLAG_PREFETCH | CHUNK_FLAG_OVERWRITE;
 
 /// An instruction.
 ///

@@ -79,8 +79,8 @@ pub use builder::FunctionBuilder;
 pub use entities::{Block, FuncId, GlobalId, Value};
 pub use function::{BlockData, Function, InstData, Signature};
 pub use inst::{
-    BinOp, CastOp, CmpOp, FCmpOp, InstKind, Intrinsic, CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE,
-    MAX_SPAN_BYTES,
+    BinOp, CastOp, CmpOp, FCmpOp, InstKind, Intrinsic, CHUNK_FLAGS_ALL, CHUNK_FLAG_OVERWRITE,
+    CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE, MAX_SPAN_BYTES,
 };
 pub use module::{Global, Module};
 pub use parser::{parse_module, ParseError};

@@ -10,11 +10,15 @@
 //! * operand/result types are consistent (binops homogeneous, loads/stores
 //!   through `ptr`, calls match callee signatures, intrinsic signatures);
 //! * a guard's optional second (span length) operand is an `i64` constant
-//!   in `1..=MAX_SPAN_BYTES`.
+//!   in `1..=MAX_SPAN_BYTES`;
+//! * a constant `tfm.chunk.begin` flags operand sets only defined bits, and
+//!   sets the overwrite bit only together with the write bit.
 
 use crate::entities::{Block, Value};
 use crate::function::Function;
-use crate::inst::{InstKind, MAX_SPAN_BYTES};
+use crate::inst::{
+    InstKind, Intrinsic, CHUNK_FLAGS_ALL, CHUNK_FLAG_OVERWRITE, CHUNK_FLAG_WRITE, MAX_SPAN_BYTES,
+};
 use crate::module::Module;
 use crate::types::Type;
 use std::collections::HashSet;
@@ -319,6 +323,18 @@ fn check_types(f: &Function, v: Value, module: Option<&Module>) -> Result<(), Ve
             }
             if f.ty(v) != ret {
                 return e(format!("{v}: intrinsic {intr} result type mismatch"));
+            }
+            if *intr == Intrinsic::ChunkBegin {
+                if let InstKind::ConstInt(flags) = f.kind(args[1]) {
+                    if flags & !CHUNK_FLAGS_ALL != 0 {
+                        return e(format!("{v}: {intr} flags {flags:#x} set undefined bits"));
+                    }
+                    if flags & CHUNK_FLAG_OVERWRITE != 0 && flags & CHUNK_FLAG_WRITE == 0 {
+                        return e(format!(
+                            "{v}: {intr} flags {flags:#x} overwrite without write"
+                        ));
+                    }
+                }
             }
         }
         InstKind::Select { tval, fval, .. } if f.ty(*tval) != f.ty(*fval) => {
@@ -725,6 +741,45 @@ mod tests {
         }
         let e = m.verify().unwrap_err();
         assert!(e.message.contains("not a constant"), "{e}");
+    }
+
+    fn chunk_begin_module(flags: i64) -> Module {
+        let mut m = Module::new("t");
+        let id = m.declare_function("f", Signature::new(vec![Type::Ptr], Some(Type::I64)));
+        let mut b = FunctionBuilder::new(m.function_mut(id));
+        let p = b.param(0);
+        let c = b.iconst(Type::I64, flags);
+        let h = b.intrinsic(crate::Intrinsic::ChunkBegin, vec![p, c]);
+        b.intrinsic(crate::Intrinsic::ChunkEnd, vec![h]);
+        b.ret(Some(c));
+        m
+    }
+
+    #[test]
+    fn chunk_begin_flags_must_be_defined_and_consistent() {
+        use crate::inst::CHUNK_FLAG_PREFETCH;
+        for flags in [
+            0,
+            CHUNK_FLAG_WRITE,
+            CHUNK_FLAG_PREFETCH,
+            CHUNK_FLAG_WRITE | CHUNK_FLAG_PREFETCH,
+            CHUNK_FLAG_WRITE | CHUNK_FLAG_OVERWRITE,
+            CHUNK_FLAGS_ALL,
+        ] {
+            chunk_begin_module(flags).verify().unwrap();
+        }
+        for flags in [8, -1, CHUNK_FLAG_WRITE | 16] {
+            let e = chunk_begin_module(flags).verify().unwrap_err();
+            assert_eq!((e.block, e.inst), (Some(0), Some(2)), "{e}");
+            assert!(e.message.contains("undefined bits"), "{e}");
+        }
+        for flags in [
+            CHUNK_FLAG_OVERWRITE,
+            CHUNK_FLAG_OVERWRITE | CHUNK_FLAG_PREFETCH,
+        ] {
+            let e = chunk_begin_module(flags).verify().unwrap_err();
+            assert!(e.message.contains("overwrite without write"), "{e}");
+        }
     }
 
     #[test]

@@ -16,12 +16,17 @@
 //! * a slow-path guard localizes a remote object synchronously; the chunk
 //!   locality-invariant guard additionally pins it for the duration of a
 //!   chunk; the prefetcher localizes asynchronously, overlapping latency
-//!   with execution.
+//!   with execution;
+//! * an overwrite chunk stream entering a remote object at its first byte
+//!   *claims* it instead ([`FarMemory::claim`]): resident, dirty and
+//!   `PARTIAL`, with no transfer. The stream either overwrites every byte
+//!   ([`FarMemory::complete_claim`]) or some localization merges the remote
+//!   copy in first. A `PARTIAL` object is always pinned by its stream.
 
 use crate::alloc::{AllocError, RegionAllocator};
 use crate::config::FarMemoryConfig;
 use crate::ptr::{ObjId, TfmPtr};
-use crate::state::{StateTable, DIRTY, HOT, INFLIGHT, PRESENT};
+use crate::state::{StateTable, DIRTY, HOT, INFLIGHT, PARTIAL, PRESENT};
 use crate::stats::RuntimeStats;
 use std::collections::{BTreeSet, VecDeque};
 use tfm_net::{
@@ -490,6 +495,11 @@ impl FarMemory {
     /// cycles the calling thread stalls (0 if the object was already
     /// resident or a prefetch had completed).
     ///
+    /// A claimed (`PARTIAL`) object is resident but only partly valid: its
+    /// localization is the deferred *merge fetch* of the remote copy, taken
+    /// through the demand-fetch path like any miss, except that the bytes
+    /// are already counted resident and the object is already on the CLOCK.
+    ///
     /// Every localization also feeds AIFM's runtime stride prefetcher
     /// (§4.3: "we use AIFM's existing stride prefetcher"): after two
     /// consecutive unit-stride object localizations, the runtime keeps
@@ -500,7 +510,8 @@ impl FarMemory {
     pub fn localize(&mut self, o: ObjId, write: bool, now: u64) -> u64 {
         let size = self.cfg.object_size;
         let mark = if write { HOT | DIRTY } else { HOT };
-        if self.table.is_present(o) {
+        let partial = self.table.is_partial(o);
+        if self.table.is_present(o) && !partial {
             self.table.set(o, mark);
             return 0;
         }
@@ -555,7 +566,9 @@ impl FarMemory {
             } else {
                 self.tel.span_begin_root(SpanKind::DemandFetch, o.0, now)
             };
-            self.ensure_capacity(size, now);
+            if !partial {
+                self.ensure_capacity(size, now);
+            }
             let done = self
                 .transfer_with_retry(o.0, size, now, false)
                 .expect("demand fetches retry until delivered");
@@ -567,30 +580,69 @@ impl FarMemory {
                 // in-flight fetch table so other cores can join it, and
                 // the delivery cycle flows to the scheduler through the
                 // completion horizon for per-request latency.
+                self.table.clear(o, PRESENT | PARTIAL);
                 self.table.set(o, INFLIGHT | mark);
                 self.table.set_ready_cycle(o, done);
                 self.demand_inflight.insert(o.0);
                 self.completion_horizon = self.completion_horizon.max(done);
                 done.saturating_sub(self.cfg.link.base_latency).max(now) - now
             } else {
+                self.table.clear(o, PARTIAL);
                 self.table.set(o, PRESENT | mark);
                 done - now
             };
-            self.resident_bytes += size;
-            self.stats.peak_resident_bytes =
-                self.stats.peak_resident_bytes.max(self.resident_bytes);
-            self.clock.push_back(o);
+            if partial {
+                self.stats.partial_merges += 1;
+            } else {
+                self.resident_bytes += size;
+                self.stats.peak_resident_bytes =
+                    self.stats.peak_resident_bytes.max(self.resident_bytes);
+                self.clock.push_back(o);
+            }
             self.stats.remote_fetches += 1;
             if self.tel.is_enabled() {
                 self.tel.emit(now, EventKind::DemandFetch, o.0);
                 self.tel.record_fetch_latency(done - now);
-                self.tel.note_resident(o.0, now);
+                if !partial {
+                    self.tel.note_resident(o.0, now);
+                }
                 self.tel.timeline_occupancy(now, self.resident_bytes);
             }
             charged
         };
         self.stride_detect(o, now + stall);
         stall
+    }
+
+    /// Overwrite-stream claim: installs remote object `o` as resident,
+    /// dirty and `PARTIAL` without fetching it, making room as a fetch
+    /// would. The caller, an overwrite stream at `o`'s first byte, must pin
+    /// `o` at once and later either [`FarMemory::complete_claim`] it or
+    /// [`FarMemory::localize`] it. Returns false, changing nothing, when `o`
+    /// is resident or in flight: there is no transfer left to save.
+    pub fn claim(&mut self, o: ObjId, now: u64) -> bool {
+        if self.table.entry(o) & (PRESENT | INFLIGHT) != 0 {
+            return false;
+        }
+        let size = self.cfg.object_size;
+        self.ensure_capacity(size, now);
+        self.table.set(o, PRESENT | DIRTY | HOT | PARTIAL);
+        self.resident_bytes += size;
+        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(self.resident_bytes);
+        self.clock.push_back(o);
+        self.stats.overwrite_claims += 1;
+        if self.tel.is_enabled() {
+            self.tel.note_resident(o.0, now);
+            self.tel.timeline_occupancy(now, self.resident_bytes);
+        }
+        true
+    }
+
+    /// Ends the claim on `o` after its stream overwrote every byte: the
+    /// local copy is whole, and no fetch is ever needed.
+    #[inline]
+    pub fn complete_claim(&mut self, o: ObjId) {
+        self.table.clear(o, PARTIAL);
     }
 
     /// Runtime stride detection: called on every slow-path localization.
@@ -717,9 +769,17 @@ impl FarMemory {
     }
 
     /// Releases a pin.
+    ///
+    /// # Panics
+    /// Panics when the last pin of a `PARTIAL` object would go: its stream
+    /// must complete or merge it first.
     #[inline]
     pub fn unpin(&mut self, o: ObjId) {
         self.table.unpin(o);
+        assert!(
+            self.table.pins(o) > 0 || !self.table.is_partial(o),
+            "last pin of PARTIAL {o} released"
+        );
     }
 
     /// A collection point (§3.3: the slow-path guard "triggers a periodic
@@ -754,6 +814,10 @@ impl FarMemory {
                 self.clock.push_back(o);
                 continue;
             }
+            assert!(
+                e & PARTIAL == 0,
+                "unpinned PARTIAL {o} reached the evacuator"
+            );
             if e & HOT != 0 {
                 self.table.clear(o, HOT);
                 self.clock.push_back(o);
@@ -831,6 +895,10 @@ impl FarMemory {
                 self.clock.push_back(o);
                 continue;
             }
+            assert!(
+                e & PARTIAL == 0,
+                "unpinned PARTIAL {o} reached the evacuator"
+            );
             if e & DIRTY != 0 {
                 let sp = self.tel.span_begin_root(SpanKind::WritebackOp, o.0, now);
                 match self.transfer_with_retry(o.0, self.cfg.object_size, now, true) {
@@ -946,6 +1014,110 @@ mod tests {
             ..FarMemoryConfig::small()
         };
         FarMemory::new(cfg)
+    }
+
+    /// A runtime with one evacuated 4-object allocation; returns its first
+    /// object.
+    fn cold_objects(budget_objs: u64) -> (FarMemory, ObjId) {
+        let mut fm = fm_with(budget_objs);
+        let p = fm.allocate(4 * 4096, 0).unwrap();
+        let o = fm.obj_of_offset(p.offset());
+        fm.evacuate_all(0);
+        fm.reset_stats();
+        (fm, o)
+    }
+
+    #[test]
+    fn claim_installs_a_partial_dirty_object_without_a_transfer() {
+        let (mut fm, o) = cold_objects(8);
+        assert!(fm.claim(o, 0));
+        let e = fm.table().entry(o);
+        assert_eq!(
+            e & (PRESENT | DIRTY | HOT | PARTIAL),
+            PRESENT | DIRTY | HOT | PARTIAL
+        );
+        assert!(
+            !fm.table().is_safe(o),
+            "the fast path must not pass PARTIAL"
+        );
+        assert_eq!(fm.resident_bytes(), 4096);
+        assert_eq!(fm.stats().overwrite_claims, 1);
+        assert_eq!(fm.stats().remote_fetches, 0);
+        assert_eq!(fm.transfer_stats().bytes_fetched, 0);
+        // The stream wrote it whole: complete, still no transfer.
+        fm.complete_claim(o);
+        assert!(fm.table().is_safe(o) && fm.table().is_dirty(o));
+        assert_eq!(fm.transfer_stats().bytes_fetched, 0);
+    }
+
+    #[test]
+    fn claim_is_refused_for_present_and_inflight_objects() {
+        let (mut fm, o) = cold_objects(8);
+        fm.localize(o, false, 0);
+        assert!(!fm.claim(o, 1_000_000), "resident");
+        assert!(fm.prefetch(ObjId(o.0 + 1), 1_000_000));
+        assert!(!fm.claim(ObjId(o.0 + 1), 1_000_000), "in flight");
+        assert!(!fm.table().is_partial(o) && !fm.table().is_partial(ObjId(o.0 + 1)));
+        assert_eq!(fm.stats().overwrite_claims, 0);
+    }
+
+    #[test]
+    fn localize_of_a_claimed_object_is_one_merge_fetch() {
+        let (mut fm, o) = cold_objects(8);
+        assert!(fm.claim(o, 0));
+        fm.pin(o);
+        let stall = fm.localize(o, false, 10);
+        assert!(stall > 30_000, "a merge is a full demand fetch: {stall}");
+        assert!(fm.table().is_safe(o) && fm.table().is_dirty(o));
+        assert_eq!(fm.resident_bytes(), 4096, "resident bytes counted once");
+        let s = *fm.stats();
+        assert_eq!((s.remote_fetches, s.partial_merges), (1, 1));
+        assert_eq!(fm.transfer_stats().bytes_fetched, 4096);
+        // Whole now: the next localization is free.
+        assert_eq!(fm.localize(o, true, 10 + stall), 0);
+        assert_eq!(fm.stats().partial_merges, 1);
+        fm.unpin(o);
+    }
+
+    #[test]
+    fn async_merge_parks_the_claimed_object_in_flight() {
+        let (mut fm, o) = cold_objects(8);
+        fm.set_async_fetch(true);
+        assert!(fm.claim(o, 0));
+        fm.pin(o);
+        let charged = fm.localize(o, false, 10);
+        assert!(fm.table().is_inflight(o) && !fm.table().is_present(o));
+        assert!(!fm.table().is_partial(o));
+        assert_eq!(fm.demand_inflight_len(), 1);
+        assert_eq!(fm.resident_bytes(), 4096);
+        let horizon = fm.take_completion_horizon();
+        assert!(
+            horizon > 10 + charged,
+            "the data lands after the issue point"
+        );
+        assert_eq!(fm.localize(o, false, horizon), 0);
+        assert!(fm.table().is_safe(o));
+        assert_eq!(fm.stats().partial_merges, 1);
+        fm.unpin(o);
+    }
+
+    #[test]
+    #[should_panic(expected = "last pin of PARTIAL")]
+    fn unpinning_a_partial_object_panics() {
+        let (mut fm, o) = cold_objects(8);
+        assert!(fm.claim(o, 0));
+        fm.pin(o);
+        fm.unpin(o);
+    }
+
+    #[test]
+    #[should_panic(expected = "unpinned PARTIAL")]
+    fn evacuator_asserts_no_unpinned_partial_object() {
+        let (mut fm, o) = cold_objects(1);
+        assert!(fm.claim(o, 0));
+        // Unpinned (the contract broken on purpose): the scan that makes
+        // room for the next object must trip over it.
+        fm.localize(ObjId(o.0 + 1), false, 0);
     }
 
     #[test]

@@ -25,15 +25,21 @@ pub const INFLIGHT: u64 = 1 << 60;
 /// metadata; the single-threaded simulator sets and clears it within one
 /// collection point).
 pub const EVACUATING: u64 = 1 << 59;
+/// The object was *claimed* by an overwrite chunk stream: installed local
+/// without fetching its remote copy, because the stream will overwrite
+/// every byte. Until the stream has done so, only the bytes it wrote are
+/// valid, so any other accessor must first merge in the remote copy.
+pub const PARTIAL: u64 = 1 << 58;
 
 const PIN_SHIFT: u32 = 48;
 const PIN_MASK: u64 = 0xFF << PIN_SHIFT;
 const PAYLOAD_MASK: u64 = (1 << PIN_SHIFT) - 1;
 
 /// Mask of the bits that must be *exactly* `PRESENT` for the fast path: the
-/// object is local, no fetch is racing it, and the evacuator has not claimed
-/// it. This is the "is object safe (localized)?" test of Fig. 4 line 6.
-pub const SAFETY_MASK: u64 = PRESENT | INFLIGHT | EVACUATING;
+/// object is local, no fetch is racing it, the evacuator has not claimed
+/// it, and no overwrite stream holds it half-written. This is the "is
+/// object safe (localized)?" test of Fig. 4 line 6.
+pub const SAFETY_MASK: u64 = PRESENT | INFLIGHT | EVACUATING | PARTIAL;
 
 /// The contiguous metadata table: one 8-byte entry per object.
 #[derive(Clone, Debug)]
@@ -104,6 +110,12 @@ impl StateTable {
     #[inline]
     pub fn is_inflight(&self, o: ObjId) -> bool {
         self.entries[o.index()] & INFLIGHT != 0
+    }
+
+    /// True if an overwrite stream holds the object half-written.
+    #[inline]
+    pub fn is_partial(&self, o: ObjId) -> bool {
+        self.entries[o.index()] & PARTIAL != 0
     }
 
     /// Sets flag bits.
@@ -202,6 +214,10 @@ mod tests {
         t.set(o, EVACUATING);
         assert!(!t.is_safe(o));
         t.clear(o, EVACUATING);
+        t.set(o, PARTIAL);
+        assert!(t.is_partial(o));
+        assert!(!t.is_safe(o));
+        t.clear(o, PARTIAL);
         assert!(t.is_safe(o));
         // Dirty/hot do not affect safety.
         t.set(o, DIRTY | HOT);

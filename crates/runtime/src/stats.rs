@@ -62,6 +62,12 @@ pub struct RuntimeStats {
     /// issuing their own transfer (multi-core in-flight fetch table; always
     /// zero on the synchronous single-core machine).
     pub fetch_joins: u64,
+    /// Objects an overwrite chunk stream claimed instead of fetching.
+    pub overwrite_claims: u64,
+    /// Merge fetches: demand fetches of a claimed object's remote copy, paid
+    /// when something else touched it before its stream overwrote it whole
+    /// (also counted in `remote_fetches`).
+    pub partial_merges: u64,
 }
 
 impl fmt::Display for RuntimeStats {
@@ -110,6 +116,13 @@ impl fmt::Display for RuntimeStats {
         if self.fetch_joins > 0 {
             write!(f, ", fetch joins: {}", self.fetch_joins)?;
         }
+        if self.overwrite_claims > 0 || self.partial_merges > 0 {
+            write!(
+                f,
+                ", overwrite claims: {} / merges: {}",
+                self.overwrite_claims, self.partial_merges
+            )?;
+        }
         Ok(())
     }
 }
@@ -144,6 +157,8 @@ impl StatGroup for RuntimeStats {
             ("re_replications", self.re_replications),
             ("lost_objects", self.lost_objects),
             ("fetch_joins", self.fetch_joins),
+            ("overwrite_claims", self.overwrite_claims),
+            ("partial_merges", self.partial_merges),
         ]
     }
 }
@@ -173,6 +188,8 @@ impl MergeStats for RuntimeStats {
         self.re_replications += other.re_replications;
         self.lost_objects += other.lost_objects;
         self.fetch_joins += other.fetch_joins;
+        self.overwrite_claims += other.overwrite_claims;
+        self.partial_merges += other.partial_merges;
     }
 }
 
@@ -232,11 +249,13 @@ mod tests {
             re_replications: 21,
             lost_objects: 22,
             fetch_joins: 23,
+            overwrite_claims: 24,
+            partial_merges: 25,
         };
         let fields = s.stat_fields();
-        assert_eq!(fields.len(), 23);
+        assert_eq!(fields.len(), 25);
         let vals: Vec<u64> = fields.iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, (1..=23).collect::<Vec<u64>>());
+        assert_eq!(vals, (1..=25).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -253,6 +272,18 @@ mod tests {
         assert!(faulty.contains("link faults: 3"), "{faulty}");
         assert!(faulty.contains("retries: 2"), "{faulty}");
         assert!(faulty.contains("wb deferrals: 1"), "{faulty}");
+    }
+
+    #[test]
+    fn display_shows_overwrite_counters_only_when_present() {
+        assert!(!RuntimeStats::default().to_string().contains("overwrite"));
+        let s = RuntimeStats {
+            overwrite_claims: 4,
+            partial_merges: 1,
+            ..Default::default()
+        }
+        .to_string();
+        assert!(s.contains("overwrite claims: 4 / merges: 1"), "{s}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::stats::ExecStats;
 use crate::trap::Trap;
 use tfm_fastswap::{Pager, PagerConfig, PagerStats};
-use tfm_ir::{CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE};
+use tfm_ir::{CHUNK_FLAG_OVERWRITE, CHUNK_FLAG_PREFETCH, CHUNK_FLAG_WRITE};
 use tfm_net::{ShardSnapshot, TransferStats};
 use tfm_runtime::{FarMemory, FarMemoryConfig, ObjId, RegionAllocator, RuntimeStats, TfmPtr};
 use tfm_telemetry::Telemetry;
@@ -435,8 +435,34 @@ struct ChunkStream {
     prev: Option<ObjId>,
     write: bool,
     prefetch: bool,
+    /// Overwrite stream (`CHUNK_FLAG_OVERWRITE`, TrackFM flavour only): it
+    /// claims each object it enters at the first byte instead of fetching
+    /// it. Only `cur` can then be `PARTIAL`.
+    overwrite: bool,
+    /// Overwrite streams: the heap offset of the last deref, and its
+    /// distance from the deref before (0 while the claimed object has seen
+    /// only one). The stream's stride is its store width, so `last + step`
+    /// is where the bytes it has written end.
+    last: u64,
+    step: u64,
     last_dir: i64,
     active: bool,
+}
+
+impl ChunkStream {
+    /// Records an overwrite stream's deref at heap offset `off`.
+    #[inline]
+    fn advance(&mut self, off: u64) {
+        self.step = off.wrapping_sub(self.last);
+        self.last = off;
+    }
+
+    /// True when the stream's writes end exactly at heap offset `end`: the
+    /// claimed object ending there holds no byte it did not write.
+    #[inline]
+    fn wrote_through(&self, end: u64) -> bool {
+        self.step != 0 && self.last.wrapping_add(self.step) == end
+    }
 }
 
 /// The TrackFM memory system: compiler guards backed by the AIFM-like
@@ -492,6 +518,24 @@ impl TrackFmMem {
             return Err(Trap::OutOfBounds { addr: ptr, size: 0 });
         }
         Ok(self.fm.obj_of_offset(off))
+    }
+
+    /// Overwrite stream `idx` leaves its current object `cur` (a crossing
+    /// or `chunk_end`). If the stream claimed `cur`, it completes it when
+    /// its writes reached `cur`'s last byte and otherwise merges in the
+    /// remote copy, a demand fetch charged to the leaving call. Returns the
+    /// stall.
+    fn leave_claim(&mut self, idx: usize, cur: ObjId, now: u64) -> u64 {
+        if !self.fm.table().is_partial(cur) {
+            return 0;
+        }
+        let end = (cur.0 + 1) << self.fm.log2_object_size();
+        if self.streams[idx].wrote_through(end) {
+            self.fm.complete_claim(cur);
+            0
+        } else {
+            self.fm.localize(cur, true, now)
+        }
     }
 
     fn issue_stream_prefetch(&mut self, from: ObjId, dir: i64, now: u64) {
@@ -640,6 +684,9 @@ impl MemorySystem for TrackFmMem {
             prev: None,
             write: flags & CHUNK_FLAG_WRITE != 0,
             prefetch: flags & CHUNK_FLAG_PREFETCH != 0,
+            overwrite: flags & CHUNK_FLAG_OVERWRITE != 0 && !self.aifm,
+            last: 0,
+            step: 0,
             last_dir: 1,
             active: true,
         };
@@ -674,12 +721,16 @@ impl MemorySystem for TrackFmMem {
             return Ok((self.cost.boundary_check, ptr));
         }
         let obj = self.obj_of_ptr(ptr)?;
-        let (cur, prev, write, prefetch) = {
+        let (cur, prev, write, prefetch, overwrite) = {
             let s = &self.streams[idx];
-            (s.cur, s.prev, s.write, s.prefetch)
+            (s.cur, s.prev, s.write, s.prefetch, s.overwrite)
         };
+        let off = ptr & tfm_runtime::OFFSET_MASK;
         if cur == Some(obj) || prev == Some(obj) {
             // In-window: the cheap conditional of Fig. 5.
+            if overwrite {
+                self.streams[idx].advance(off);
+            }
             let c = if self.aifm {
                 self.cost.boundary_check.min(self.cost.aifm_deref)
             } else {
@@ -699,11 +750,27 @@ impl MemorySystem for TrackFmMem {
         if let Some(old) = prev {
             self.fm.unpin(old);
         }
+        let mut stall = 0;
         if let Some(cur) = cur {
             let dir = if obj.0 >= cur.0 { 1 } else { -1 };
             self.streams[idx].last_dir = dir;
+            if overwrite {
+                stall += self.leave_claim(idx, cur, now + base);
+            }
         }
-        let stall = self.fm.localize(obj, write, now + base);
+        let claimed = overwrite
+            && off & (self.fm.object_size() - 1) == 0
+            && self.fm.claim(obj, now + base + stall);
+        if !claimed {
+            stall += self.fm.localize(obj, write, now + base + stall);
+        }
+        if overwrite {
+            let s = &mut self.streams[idx];
+            s.advance(off);
+            if claimed {
+                s.step = 0;
+            }
+        }
         if stall > 0 {
             stats.stall_cycles += stall;
         }
@@ -719,12 +786,16 @@ impl MemorySystem for TrackFmMem {
         Ok((base + stall, self.canonical_of(ptr)))
     }
 
-    fn chunk_end(&mut self, handle: u64, _now: u64) -> Result<u64, Trap> {
+    fn chunk_end(&mut self, handle: u64, now: u64) -> Result<u64, Trap> {
         let idx = handle as usize;
         if idx >= self.streams.len() || !self.streams[idx].active {
             return Err(Trap::BadChunkHandle { handle });
         }
+        let mut cycles = self.cost.alu;
         if let Some(obj) = self.streams[idx].cur.take() {
+            if self.streams[idx].overwrite {
+                cycles += self.leave_claim(idx, obj, now + cycles);
+            }
             self.fm.unpin(obj);
         }
         if let Some(obj) = self.streams[idx].prev.take() {
@@ -732,7 +803,7 @@ impl MemorySystem for TrackFmMem {
         }
         self.streams[idx].active = false;
         self.free_streams.push(idx);
-        Ok(self.cost.alu)
+        Ok(cycles)
     }
 
     fn prefetch_hint(&mut self, ptr: u64, now: u64) {
@@ -1181,6 +1252,184 @@ mod tests {
         assert_eq!(m.alloc_size(p), Some(128));
         m.free(p, 0).unwrap();
         assert!(m.summary().transfers.is_none());
+    }
+
+    const OVERWRITE: i64 = CHUNK_FLAG_WRITE | CHUNK_FLAG_OVERWRITE;
+
+    /// A TrackFM (or AIFM) system holding one evacuated 4-object buffer;
+    /// returns it and the buffer's pointer (object-aligned).
+    fn cold_buffer(aifm: bool) -> (TrackFmMem, u64) {
+        let cfg = tfm_cfg(16);
+        let mut m = if aifm {
+            TrackFmMem::new_aifm(cfg, CostModel::default())
+        } else {
+            TrackFmMem::new(cfg, CostModel::default())
+        };
+        let ptr = m.alloc(4 * 4096, 0).unwrap();
+        assert_eq!(ptr & tfm_runtime::OFFSET_MASK & 4095, 0);
+        m.evacuate_all(0);
+        m.reset_stats();
+        (m, ptr)
+    }
+
+    impl TrackFmMem {
+        fn obj(&self, ptr: u64) -> ObjId {
+            self.obj_of_ptr(ptr).unwrap()
+        }
+        fn rt(&self) -> RuntimeStats {
+            *self.fm.stats()
+        }
+    }
+
+    #[test]
+    fn overwrite_stream_claims_at_the_first_byte() {
+        let (mut m, ptr) = cold_buffer(false);
+        let mut st = ExecStats::default();
+        let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+        let (c, _) = m.chunk_deref(h, ptr, 0, &mut st).unwrap();
+        assert_eq!(c, CostModel::default().locality_guard, "no stall");
+        let o = m.obj(ptr);
+        let t = m.far_memory().table();
+        assert!(t.is_partial(o) && t.pins(o) == 1);
+        assert_eq!(m.rt().overwrite_claims, 1);
+        assert_eq!(m.summary().transfers.unwrap().bytes_fetched, 0);
+    }
+
+    #[test]
+    fn overwrite_claim_is_refused_mid_object_present_or_inflight() {
+        let mut st = ExecStats::default();
+        // Mid-object: the bytes before the entry point are never written.
+        let (mut m, ptr) = cold_buffer(false);
+        let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+        m.chunk_deref(h, ptr + 8, 0, &mut st).unwrap();
+        assert_eq!((m.rt().overwrite_claims, m.rt().remote_fetches), (0, 1));
+        // Present: nothing to save.
+        let (mut m, ptr) = cold_buffer(false);
+        m.guard(ptr, false, 0, &mut st).unwrap();
+        let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+        m.chunk_deref(h, ptr, 1_000_000, &mut st).unwrap();
+        assert_eq!((m.rt().overwrite_claims, m.rt().remote_fetches), (0, 1));
+        // In flight: the transfer is already paid for.
+        let (mut m, ptr) = cold_buffer(false);
+        m.prefetch_hint(ptr, 0);
+        let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+        m.chunk_deref(h, ptr, 1_000_000, &mut st).unwrap();
+        let rt = m.rt();
+        assert_eq!((rt.overwrite_claims, rt.prefetch_hits), (0, 1));
+        assert!(!m.far_memory().table().is_partial(m.obj(ptr)));
+    }
+
+    #[test]
+    fn a_guard_or_a_second_stream_on_a_claimed_object_pays_one_merge() {
+        let mut st = ExecStats::default();
+        for second_stream in [false, true] {
+            let (mut m, ptr) = cold_buffer(false);
+            let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+            m.chunk_deref(h, ptr, 0, &mut st).unwrap();
+            // Someone reads a[i+1] before the stream has written it.
+            let c = if second_stream {
+                let (_, r) = m.chunk_begin(ptr, 0, 0);
+                let c = m.chunk_deref(r, ptr + 8, 10, &mut st).unwrap().0;
+                m.chunk_deref(r, ptr + 16, 10 + c, &mut st).unwrap();
+                m.chunk_end(r, 10 + c).unwrap();
+                c
+            } else {
+                let c = m.guard(ptr + 8, false, 10, &mut st).unwrap().0;
+                m.guard(ptr + 16, false, 10 + c, &mut st).unwrap();
+                c
+            };
+            assert!(c > 30_000, "the merge is a full fetch: {c}");
+            let rt = m.rt();
+            assert_eq!((rt.partial_merges, rt.remote_fetches), (1, 1));
+            assert!(m.far_memory().table().is_safe(m.obj(ptr)));
+            // The stream's own exit now finds nothing left to merge.
+            assert_eq!(m.chunk_end(h, 1_000_000).unwrap(), CostModel::default().alu);
+            assert_eq!(m.rt().partial_merges, 1);
+        }
+    }
+
+    #[test]
+    fn forward_crossing_completes_the_object_without_a_fetch() {
+        let (mut m, ptr) = cold_buffer(false);
+        let mut st = ExecStats::default();
+        let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+        for i in 0..2 * 512 {
+            m.chunk_deref(h, ptr + i * 8, 0, &mut st).unwrap();
+        }
+        let (o0, o1) = (m.obj(ptr), m.obj(ptr + 4096));
+        let t = m.far_memory().table();
+        assert!(t.is_safe(o0) && t.is_dirty(o0), "o0 written whole");
+        assert!(t.is_partial(o1), "o1 still being written");
+        assert_eq!(m.rt().overwrite_claims, 2);
+        assert_eq!(m.summary().transfers.unwrap().bytes_fetched, 0);
+        assert_eq!(st.stall_cycles, 0);
+        // The last element of o1 is written: crossing into o2 completes
+        // o1, and the stream's exit merges the part-written o2.
+        m.chunk_deref(h, ptr + 2 * 4096, 0, &mut st).unwrap();
+        assert!(m.far_memory().table().is_safe(o1));
+        let c = m.chunk_end(h, 0).unwrap();
+        assert!(
+            c > 30_000,
+            "a part-written tail is merged at chunk_end: {c}"
+        );
+        let rt = m.rt();
+        assert_eq!((rt.overwrite_claims, rt.partial_merges), (3, 1));
+        let o2 = m.obj(ptr + 2 * 4096);
+        let t = m.far_memory().table();
+        assert!(t.is_safe(o2) && t.pins(o2) == 0);
+    }
+
+    #[test]
+    fn a_stream_that_wrote_its_last_object_whole_ends_without_a_merge() {
+        // A loop ending exactly at an object boundary (any power-of-two
+        // array): the last claimed object is complete, not part-written.
+        let (mut m, ptr) = cold_buffer(false);
+        let mut st = ExecStats::default();
+        let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+        for i in 0..512 {
+            m.chunk_deref(h, ptr + i * 8, 0, &mut st).unwrap();
+        }
+        assert_eq!(m.chunk_end(h, 0).unwrap(), CostModel::default().alu);
+        let rt = m.rt();
+        assert_eq!((rt.overwrite_claims, rt.partial_merges), (1, 0));
+        assert_eq!(m.summary().transfers.unwrap().bytes_fetched, 0);
+        let o = m.obj(ptr);
+        assert!(m.far_memory().table().is_safe(o));
+        assert_eq!(m.far_memory().table().pins(o), 0);
+    }
+
+    #[test]
+    fn any_other_crossing_merges_the_object_left() {
+        let (mut m, ptr) = cold_buffer(false);
+        let mut st = ExecStats::default();
+        let (_, h) = m.chunk_begin(ptr, OVERWRITE, 0);
+        m.chunk_deref(h, ptr, 0, &mut st).unwrap();
+        // Skips o1 to o2's first byte: o0 was left part-written.
+        let (c, _) = m.chunk_deref(h, ptr + 2 * 4096, 0, &mut st).unwrap();
+        assert!(c > 30_000 && st.stall_cycles > 30_000, "merge charged: {c}");
+        let rt = m.rt();
+        assert_eq!((rt.overwrite_claims, rt.partial_merges), (2, 1));
+        assert!(m.far_memory().table().is_safe(m.obj(ptr)));
+        assert!(m.far_memory().table().is_partial(m.obj(ptr + 2 * 4096)));
+        m.chunk_end(h, 1_000_000).unwrap();
+    }
+
+    #[test]
+    fn aifm_flavor_ignores_the_overwrite_bit() {
+        let run = |flags: i64| {
+            let (mut m, ptr) = cold_buffer(true);
+            let mut st = ExecStats::default();
+            let (_, h) = m.chunk_begin(ptr, flags, 0);
+            let mut now = 0;
+            for i in 0..2 * 512 {
+                now += m.chunk_deref(h, ptr + i * 8, now, &mut st).unwrap().0;
+            }
+            now += m.chunk_end(h, now).unwrap();
+            (now, m.rt(), st.stall_cycles)
+        };
+        let (now, rt, stall) = run(OVERWRITE);
+        assert_eq!((now, rt, stall), run(CHUNK_FLAG_WRITE));
+        assert_eq!((rt.overwrite_claims, rt.remote_fetches), (0, 2));
     }
 
     #[test]

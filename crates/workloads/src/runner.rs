@@ -156,6 +156,13 @@ impl RunConfig {
         self
     }
 
+    /// Toggles overwrite streams (`CompilerOptions::overwrite_streams`):
+    /// off compiles the paper's chunk streams, which fetch every object.
+    pub fn with_overwrite_streams(mut self, on: bool) -> Self {
+        self.compiler.overwrite_streams = on;
+        self
+    }
+
     /// Toggles telemetry recording for the measured phase.
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;

@@ -135,6 +135,82 @@ pub fn copy(p: &StreamParams) -> WorkloadSpec {
     }
 }
 
+/// Builds the "Add" test: `c[i] = a[i] + b[i]` over `f64` arrays (two
+/// reads + one write per iteration, like Triad without the scaling).
+pub fn add(p: &StreamParams) -> WorkloadSpec {
+    let n = p.elems / 2; // f64 arrays, as in Triad
+    let avals: Vec<f64> = (0..n).map(|i| (i % 100) as f64 / 10.0).collect();
+    let bvals: Vec<f64> = (0..n).map(|i| (i % 37) as f64 / 7.0).collect();
+    let expected = avals
+        .iter()
+        .zip(&bvals)
+        .fold(0.0f64, |acc, (a, b)| acc + (a + b))
+        .to_bits();
+
+    let mut m = Module::new("stream_add");
+    let id = m.declare_function(
+        "main",
+        Signature::new(
+            vec![Type::Ptr, Type::Ptr, Type::Ptr, Type::I64],
+            Some(Type::I64),
+        ),
+    );
+    {
+        let mut b = FunctionBuilder::new(m.function_mut(id));
+        let aa = b.param(0);
+        let bb = b.param(1);
+        let cc = b.param(2);
+        let n_v = b.param(3);
+        let zero = b.iconst(Type::I64, 0);
+        let f0 = b.fconst(0.0);
+        let pre = b.current_block();
+        let header = b.create_block();
+        let body = b.create_block();
+        let exit = b.create_block();
+        b.br(header);
+        b.switch_to_block(header);
+        let i = b.phi(Type::I64, &[(pre, zero)]);
+        let acc = b.phi(Type::F64, &[(pre, f0)]);
+        let cnd = b.icmp(tfm_ir::CmpOp::Slt, i, n_v);
+        b.cond_br(cnd, body, exit);
+        b.switch_to_block(body);
+        let ap = b.gep(aa, i, 8, 0);
+        let bp = b.gep(bb, i, 8, 0);
+        let cp = b.gep(cc, i, 8, 0);
+        let av = b.load(Type::F64, ap);
+        let bv = b.load(Type::F64, bp);
+        let cv = b.binop(BinOp::Fadd, av, bv);
+        b.store(cp, cv);
+        let acc2 = b.binop(BinOp::Fadd, acc, cv);
+        let one = b.iconst(Type::I64, 1);
+        let i2 = b.binop(BinOp::Add, i, one);
+        b.add_phi_incoming(i, body, i2);
+        b.add_phi_incoming(acc, body, acc2);
+        b.br(header);
+        b.switch_to_block(exit);
+        let bits = b.cast(CastOp::Bitcast, acc, Type::I64);
+        b.ret(Some(bits));
+    }
+    m.verify().expect("stream add is well-formed");
+
+    WorkloadSpec {
+        name: format!("stream-add/{n}"),
+        module: m,
+        inputs: vec![
+            InputData::F64(avals),
+            InputData::F64(bvals),
+            InputData::Zeroed(n as u64 * 8),
+        ],
+        args: vec![
+            ArgSpec::Input(0),
+            ArgSpec::Input(1),
+            ArgSpec::Input(2),
+            ArgSpec::Const(n as i64),
+        ],
+        expected: Some(expected),
+    }
+}
+
 /// Builds the "Triad" test: `a[i] = b[i] + 3.0 * c[i]` over `f64` arrays
 /// (three streams, two reads + one write per iteration — the heaviest
 /// STREAM kernel).
@@ -275,7 +351,7 @@ pub fn strided_sum(elems: usize, elem_bytes: u32) -> WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{execute, RunConfig};
+    use crate::runner::{execute, execute_with_report, RunConfig};
 
     fn small() -> StreamParams {
         StreamParams { elems: 64 << 10 } // 256 KiB
@@ -335,6 +411,48 @@ mod tests {
         }
         let out = execute(&spec, &RunConfig::trackfm(0.25));
         assert_eq!(out.report.unwrap().chunking.streams, 3);
+    }
+
+    /// The overwrite-stream gate: each kernel's write-only destination is
+    /// an overwrite stream, and claiming its objects instead of fetching
+    /// them keeps the checksum, never costs cycles and fetches less.
+    #[test]
+    fn overwrite_streams_fetch_less_and_never_cost_more() {
+        for spec in [copy(&small()), add(&small()), triad(&small())] {
+            let run = |overwrite| {
+                let cfg = RunConfig::trackfm(0.25).with_overwrite_streams(overwrite);
+                execute_with_report(&spec, &cfg) // panics on a wrong checksum
+            };
+            let ((off, _), (on, report)) = (run(false), run(true));
+            let name = &spec.name;
+            assert_eq!(on.result.ret, off.result.ret, "{name}");
+            let streams = |o: &crate::runner::Outcome| o.report.as_ref().unwrap().chunking.clone();
+            assert_eq!(streams(&off).overwrite_streams, 0, "{name}");
+            assert_eq!(streams(&on).overwrite_streams, 1, "{name}");
+            let rt = on.result.runtime.unwrap();
+            assert!(rt.overwrite_claims > 0, "{name}");
+            assert_eq!(
+                report.field("runtime", "overwrite_claims"),
+                Some(rt.overwrite_claims)
+            );
+            assert_eq!(
+                report.field("runtime", "partial_merges"),
+                Some(rt.partial_merges)
+            );
+            assert!(
+                on.result.stats.cycles <= off.result.stats.cycles,
+                "{name}: {} -> {} cycles",
+                off.result.stats.cycles,
+                on.result.stats.cycles
+            );
+            let fetched = |o: &crate::runner::Outcome| o.result.transfers.unwrap().bytes_fetched;
+            assert!(
+                fetched(&on) < fetched(&off),
+                "{name}: {} -> {} bytes fetched",
+                fetched(&off),
+                fetched(&on)
+            );
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! program, and compiler configuration must produce a module on which
 //! `lint_module` reports **zero** may-heap accesses without guard custody.
 //! Deliberately tampered modules — a deleted guard, a span guard one
-//! element short — prove the lint is not vacuous.
+//! element short, a load through an overwrite stream — prove the lint is
+//! not vacuous.
 
 use trackfm_suite::compiler::{lint_module, ChunkingMode, CompilerOptions, TrackFmCompiler};
 use trackfm_suite::ir::{
-    BinOp, CastOp, FunctionBuilder, InstKind, Intrinsic, Module, Signature, Type,
+    BinOp, CastOp, FunctionBuilder, InstData, InstKind, Intrinsic, Module, Signature, Type,
+    CHUNK_FLAG_OVERWRITE,
 };
 use trackfm_suite::workloads::{
     analytics, hashmap, kmeans, memcached, nas, open_loop, stream, OpenLoopParams,
@@ -82,6 +84,7 @@ fn lint_is_clean_on_every_workload_under_every_config() {
     let specs = vec![
         stream::sum(&stream::StreamParams { elems: 4 << 10 }),
         stream::copy(&stream::StreamParams { elems: 4 << 10 }),
+        stream::triad(&stream::StreamParams { elems: 4 << 10 }),
         stream::strided_sum(512, 16),
         kmeans::kmeans(&kmeans::KmeansParams {
             points: 256,
@@ -248,4 +251,66 @@ fn lint_catches_a_span_one_element_short() {
     assert!(text.contains(&format!("[get:v{}:load]", e.inst)), "{text}");
     assert!(text.contains("outside the 56-byte span"), "{text}");
     assert!(text.contains("bytes 0..64"), "{text}");
+}
+
+/// Loading through the STREAM triad's `a` stream — an overwrite stream,
+/// whose objects the runtime claims without fetching — must trip the lint:
+/// the load would read bytes that were never brought in.
+#[test]
+fn lint_catches_a_load_through_an_overwrite_stream() {
+    let mut m = stream::triad(&stream::StreamParams { elems: 4 << 10 }).module;
+    let report = TrackFmCompiler::new(CompilerOptions::default()).compile(&mut m, None);
+    assert_eq!(
+        report.chunking.overwrite_streams, 1,
+        "a[i] = ... is write-only"
+    );
+    assert_lint_clean("pre-tamper", &m);
+
+    let fid = m.function_ids().next().unwrap();
+    let f = m.function_mut(fid);
+    let is_overwrite_begin = |v| match f.kind(v) {
+        InstKind::IntrinsicCall {
+            intr: Intrinsic::ChunkBegin,
+            args,
+        } => matches!(f.kind(args[1]), InstKind::ConstInt(c) if c & CHUNK_FLAG_OVERWRITE != 0),
+        _ => false,
+    };
+    let live = f.live_insts();
+    let begin = *live.iter().find(|&&v| is_overwrite_begin(v)).unwrap();
+    let deref = *live
+        .iter()
+        .find(|&&v| {
+            matches!(f.kind(v), InstKind::IntrinsicCall {
+                intr: Intrinsic::ChunkDeref,
+                args,
+            } if args[0] == begin)
+        })
+        .unwrap();
+    let store = *live
+        .iter()
+        .find(|&&v| matches!(f.kind(v), InstKind::Store { ptr, .. } if *ptr == deref))
+        .unwrap();
+    // Read a[i] back right after writing it.
+    let block = f.inst(store).block;
+    let load = f.insert_after(
+        store,
+        InstData {
+            kind: InstKind::Load { ptr: deref },
+            ty: Some(Type::F64),
+            block,
+        },
+    );
+    m.verify()
+        .expect("the tampered triad is still well-formed IR");
+
+    let errors = lint_module(&m);
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    let e = &errors[0];
+    assert_eq!(e.function, "main");
+    assert_eq!(e.site, format!("main:v{}:load", load.index()));
+    assert!(
+        e.message
+            .contains(&format!("load through overwrite stream %{}", begin.index())),
+        "{e}"
+    );
 }

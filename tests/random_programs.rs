@@ -12,15 +12,16 @@
 //!
 //! Sibling generators add helper calls, invariant-slot loops and short
 //! constant-trip affine loops (the interprocedural sweep, which also gates
-//! span-guard motion) and analytics-Q4-shaped loop nests (the
-//! chunk-stream-motion sweep).
+//! span-guard motion), analytics-Q4-shaped loop nests (the
+//! chunk-stream-motion sweep) and write-only dense fill loops (the
+//! overwrite-stream sweep).
 
 use trackfm_suite::compiler::{CostModel, TrackFmCompiler};
 use trackfm_suite::ir::{
     parse_module, BinOp, CastOp, CmpOp, FunctionBuilder, Module, Signature, Type, Value,
 };
 use trackfm_suite::runtime::FarMemoryConfig;
-use trackfm_suite::sim::{ExecStats, LocalMem, Machine, TrackFmMem};
+use trackfm_suite::sim::{ExecStats, LocalMem, Machine, RunResult, TrackFmMem};
 use trackfm_suite::workloads::SplitMix64;
 
 /// One generated operation.
@@ -130,10 +131,18 @@ fn build(ops: &[Op], seed: i64) -> Module {
     m
 }
 
+/// Slots (8 bytes each) in the `scratch` buffer most generators use.
+const SLOTS: usize = 16;
+
 fn run_local(m: &Module, a: u64, b: u64) -> u64 {
+    run_local_slots(m, a, b, SLOTS)
+}
+
+/// [`run_local`] over a zeroed `scratch` buffer of `slots` words.
+fn run_local_slots(m: &Module, a: u64, b: u64, slots: usize) -> u64 {
     let mut machine = Machine::new(m, LocalMem::new(1 << 16), CostModel::default(), 1 << 16);
-    let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
+    let scratch = machine.setup_alloc(slots as u64 * 8);
+    machine.setup_write_u64s(scratch, &vec![0; slots]);
     machine.finish_setup(false);
     machine
         .run("main", &[a, b, scratch])
@@ -216,6 +225,13 @@ fn random_programs_verify_roundtrip_optimize_and_remote() {
 /// heap pointer without live guard custody traps instead of executing.
 /// Returns the result and the run's execution counters.
 fn run_trackfm_sanitized(m: &Module, a: u64, b: u64) -> (u64, ExecStats) {
+    let r = run_trackfm_sanitized_slots(m, a, b, SLOTS);
+    (r.ret, r.stats)
+}
+
+/// [`run_trackfm_sanitized`] over a zeroed `scratch` buffer of `slots`
+/// words, returning the whole run result.
+fn run_trackfm_sanitized_slots(m: &Module, a: u64, b: u64, slots: usize) -> RunResult {
     let cfg = FarMemoryConfig {
         heap_size: 1 << 16,
         object_size: 64,
@@ -226,13 +242,12 @@ fn run_trackfm_sanitized(m: &Module, a: u64, b: u64) -> (u64, ExecStats) {
     let mem = TrackFmMem::new(cfg, CostModel::default());
     let mut machine = Machine::new(m, mem, CostModel::default(), 1 << 16);
     machine.enable_guard_sanitizer();
-    let scratch = machine.setup_alloc(128);
-    machine.setup_write_u64s(scratch, &[0; 16]);
+    let scratch = machine.setup_alloc(slots as u64 * 8);
+    machine.setup_write_u64s(scratch, &vec![0; slots]);
     machine.finish_setup(true);
-    let r = machine
+    machine
         .run("main", &[a, b, scratch])
-        .expect("sanitizer-clean run");
-    (r.ret, r.stats)
+        .expect("sanitizer-clean run")
 }
 
 /// The static soundness lint and the dynamic guard sanitizer must agree on
@@ -677,6 +692,13 @@ enum NestOp {
     /// conditional inner loop (5), an inner base that moves with `g` (6),
     /// or a sibling loop (7).
     Nest(u8, u8, u8),
+    /// `(start, len, flags)`: a write-only fill `p[i] = v + i` over `i` in
+    /// `0..n` from the unaligned base `p = &scratch[start % 8]`, covering
+    /// `len % 25` words — 0 to 3 of the 64-byte objects the runs use. Flag
+    /// bit 0 makes the store conditional; bit 1 adds an early exit at
+    /// `i == n / 2`, before the store; bit 2 adds a sibling stream reading
+    /// `p[i + 1]` from the same buffer; bit 3 fills 4-byte elements.
+    Fill(u8, u8, u8),
 }
 
 fn random_nest_op(rng: &mut SplitMix64) -> NestOp {
@@ -685,6 +707,96 @@ fn random_nest_op(rng: &mut SplitMix64) -> NestOp {
         0 => NestOp::Base(random_op(rng)),
         _ => NestOp::Nest(b8(rng), b8(rng), b8(rng)),
     }
+}
+
+/// [`random_nest_op`] with fill loops mixed in: the overwrite-stream sweep.
+fn random_fill_op(rng: &mut SplitMix64) -> NestOp {
+    let b8 = |rng: &mut SplitMix64| rng.next_u64() as u8;
+    match rng.next_below(2) {
+        0 => random_nest_op(rng),
+        _ => NestOp::Fill(b8(rng), b8(rng), b8(rng)),
+    }
+}
+
+/// Words of `scratch` the fill loops need: an unaligned start of up to 7
+/// words, 24 words of fill and the sibling stream's one word past it.
+const FILL_SLOTS: usize = 32;
+
+/// Emits one [`NestOp::Fill`] loop; returns its stack accumulator's final
+/// value (the sibling stream's reads, folded in).
+fn build_fill(
+    b: &mut FunctionBuilder<'_>,
+    scratch: Value,
+    acc: Value,
+    v: Value,
+    (start, len, flags): (u8, u8, u8),
+) -> Value {
+    let narrow = flags & 8 != 0;
+    let (scale, ty, per_word) = if narrow {
+        (4, Type::I32, 2)
+    } else {
+        (8, Type::I64, 1)
+    };
+    let off = b.iconst(Type::I64, i64::from(start % 8) * per_word);
+    let p = b.gep(scratch, off, scale, 0);
+    let sib = b.gep(scratch, off, scale, i64::from(scale));
+    let n = b.iconst(Type::I64, i64::from(len % 25) * per_word);
+    let zero = b.iconst(Type::I64, 0);
+    let pre = b.current_block();
+    let (header, body, exit) = (b.create_block(), b.create_block(), b.create_block());
+    b.br(header);
+    b.switch_to_block(header);
+    let i = b.phi(Type::I64, &[(pre, zero)]);
+    let more = b.icmp(CmpOp::Slt, i, n);
+    b.cond_br(more, body, exit);
+    b.switch_to_block(body);
+    if flags & 2 != 0 {
+        let two = b.iconst(Type::I64, 2);
+        let half = b.binop(BinOp::Sdiv, n, two);
+        let at = b.icmp(CmpOp::Eq, i, half);
+        let go_on = b.create_block();
+        b.cond_br(at, exit, go_on);
+        b.switch_to_block(go_on);
+    }
+    if flags & 4 != 0 {
+        let a = b.gep(sib, i, scale, 0);
+        let x = b.load(ty, a);
+        let x = if narrow {
+            b.cast(CastOp::Sext, x, Type::I64)
+        } else {
+            x
+        };
+        let cur = b.load(Type::I64, acc);
+        let nxt = b.binop(BinOp::Add, cur, x);
+        b.store(acc, nxt);
+    }
+    let a = b.gep(p, i, scale, 0);
+    let y = b.binop(BinOp::Add, v, i);
+    let y = if narrow {
+        b.cast(CastOp::Trunc, y, Type::I32)
+    } else {
+        y
+    };
+    if flags & 1 != 0 {
+        let x = b.binop(BinOp::Xor, i, v);
+        let one = b.iconst(Type::I64, 1);
+        let bit = b.binop(BinOp::And, x, one);
+        let (then_bb, join) = (b.create_block(), b.create_block());
+        b.cond_br(bit, then_bb, join);
+        b.switch_to_block(then_bb);
+        b.store(a, y);
+        b.br(join);
+        b.switch_to_block(join);
+    } else {
+        b.store(a, y);
+    }
+    let latch = b.current_block();
+    let one = b.iconst(Type::I64, 1);
+    let i2 = b.binop(BinOp::Add, i, one);
+    b.add_phi_incoming(i, latch, i2);
+    b.br(header);
+    b.switch_to_block(exit);
+    b.load(Type::I64, acc)
 }
 
 /// [`build`]'s loop-nest sibling: `main` plus a pure helper and an
@@ -805,6 +917,10 @@ fn build_nests(ops: &[NestOp], seed: i64) -> Module {
                     });
                     b.load(Type::I64, acc)
                 }
+                NestOp::Fill(start, len, flags) => {
+                    let v = pick(&vals, start ^ flags);
+                    build_fill(&mut b, scratch, acc, v, (*start, *len, *flags))
+                }
             };
             vals.push(v);
         }
@@ -869,6 +985,73 @@ fn stream_motion_on_and_off_agree_on_random_corpus() {
         );
     }
     assert!(total_hoisted > 0, "stream motion must fire in the corpus");
+}
+
+/// The overwrite-stream gate. Over 200 seeded programs mixing Q4-shaped
+/// nests with write-only fill loops — conditional stores, early exits, a
+/// sibling stream reading the same buffer, unaligned bases, 0 to 3 objects
+/// — `overwrite_streams` off and on each:
+///
+/// * passes the static lint and runs clean under the guard sanitizer (and
+///   under the runtime's own assertions: no `PARTIAL` object is evicted or
+///   unpinned);
+/// * returns the bit-identical result of a [`LocalMem`] oracle run;
+///
+/// and on never fetches more bytes than off. Claims, merges and the flag
+/// must all fire somewhere in the corpus.
+#[test]
+fn overwrite_streams_on_and_off_agree_on_random_corpus() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_000D);
+    let (mut marked, mut claims, mut merges) = (0, 0, 0);
+    for case in 0..200 {
+        let ops: Vec<NestOp> = (0..rng.next_range(1, 9))
+            .map(|_| random_fill_op(&mut rng))
+            .collect();
+        let seed = rng.next_u64() as i64;
+        let a = rng.next_u64();
+        let b = rng.next_u64();
+        let m = build_nests(&ops, seed);
+        assert!(m.verify().is_ok(), "case {case}: program must verify");
+        let want = run_local_slots(&m, a, b, FILL_SLOTS);
+
+        let mut fetched = [0u64; 2];
+        for overwrite in [false, true] {
+            let mut far = m.clone();
+            let report = TrackFmCompiler::new(trackfm_suite::compiler::CompilerOptions {
+                overwrite_streams: overwrite,
+                ..Default::default()
+            })
+            .compile(&mut far, None);
+            assert!(
+                trackfm_suite::compiler::lint_module(&far).is_empty(),
+                "case {case} (overwrite={overwrite}): lint must pass"
+            );
+            let r = run_trackfm_sanitized_slots(&far, a, b, FILL_SLOTS);
+            assert_eq!(
+                r.ret, want,
+                "case {case} (overwrite={overwrite}): result differs from the LocalMem oracle"
+            );
+            let rt = r.runtime.expect("far-memory run");
+            fetched[overwrite as usize] = r.transfers.expect("far-memory run").bytes_fetched;
+            if overwrite {
+                marked += report.chunking.overwrite_streams;
+                claims += rt.overwrite_claims;
+                merges += rt.partial_merges;
+            } else {
+                assert_eq!(report.chunking.overwrite_streams, 0, "case {case}");
+                assert_eq!(rt.overwrite_claims, 0, "case {case}");
+            }
+        }
+        assert!(
+            fetched[1] <= fetched[0],
+            "case {case}: overwrite streams fetched more ({} -> {} bytes)",
+            fetched[0],
+            fetched[1]
+        );
+    }
+    assert!(marked > 0, "overwrite streams must be marked in the corpus");
+    assert!(claims > 0, "overwrite claims must fire in the corpus");
+    assert!(merges > 0, "merge fetches must fire in the corpus");
 }
 
 /// Both checkers reject the same broken program: a raw dereference of a
