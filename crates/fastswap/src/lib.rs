@@ -36,8 +36,8 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use tfm_net::{
-    build_backend, drive_retries, BackendSpec, FaultPlan, LinkFault, LinkParams, RemoteBackend,
-    RetryOps, ShardSnapshot, ShardState, TransferStats,
+    build_backend, drive_retries, BackendSpec, FaultPlan, LinkFault, LinkParams, RetryOps,
+    ShardSnapshot, ShardState, Sharded, TransferStats,
 };
 use tfm_telemetry::{EventKind, MergeStats, Span, SpanKind, StatGroup, Telemetry};
 
@@ -74,7 +74,7 @@ impl Default for PagerConfig {
             reclaim_cycles: 400,
             link: LinkParams::rdma_25g(),
             faults: FaultPlan::none(),
-            backend: BackendSpec::SingleNode,
+            backend: BackendSpec::default(),
         }
     }
 }
@@ -161,7 +161,7 @@ pub struct Pager {
     ever_evicted: HashMap<u64, ()>,
     clock: VecDeque<u64>,
     resident_pages: u64,
-    backend: Box<dyn RemoteBackend>,
+    backend: Sharded,
     stats: PagerStats,
     tel: Telemetry,
     /// Cached `backend.failover_active()`: gates shard-restart polling so
@@ -246,8 +246,8 @@ impl Pager {
     }
 
     /// The remote backend (shard topology, per-shard ledgers and health).
-    pub fn backend(&self) -> &dyn RemoteBackend {
-        self.backend.as_ref()
+    pub fn backend(&self) -> &Sharded {
+        &self.backend
     }
 
     /// Number of remote nodes behind the pager.
@@ -513,7 +513,7 @@ struct PagerRetry<'a> {
 
 impl RetryOps for PagerRetry<'_> {
     fn issue(&mut self, at: u64, _attempts: u32) -> Result<u64, LinkFault> {
-        self.pager.backend.issue_transfer(self.page, PAGE_SIZE, at)
+        self.pager.backend.try_transfer(self.page, PAGE_SIZE, at)
     }
 
     fn on_fault(&mut self, attempts: u32, fault: LinkFault) -> Option<u64> {
@@ -678,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pager_spreads_pages_and_matches_single_node_at_one_shard() {
+    fn sharded_pager_spreads_pages_and_pins_one_shard_costs() {
         use tfm_net::PlacementPolicy;
         let run = |backend: BackendSpec| {
             let mut p = Pager::new(PagerConfig {
@@ -697,10 +697,18 @@ mod tests {
             }
             (p.stats(), p.transfer_stats(), now, p.shard_snapshots())
         };
-        // One shard is cost-identical to the single-node backend.
-        let single = run(BackendSpec::single());
-        let one = run(BackendSpec::sharded(1));
-        assert_eq!((single.0, single.1, single.2), (one.0, one.1, one.2));
+        // One shard: the paper's one node behind one wire, pinned.
+        let one = run(BackendSpec::default());
+        let pinned = TransferStats {
+            fetches: 16,
+            bytes_fetched: 16 * PAGE_SIZE,
+            ..TransferStats::default()
+        };
+        let faults = PagerStats {
+            major_faults: 16,
+            ..PagerStats::default()
+        };
+        assert_eq!((one.0, one.1, one.2), (faults, pinned, 545_920));
         // Four interleaved shards split the refill traffic evenly.
         let spec = BackendSpec::sharded(4).with_placement(PlacementPolicy::Interleave);
         let (stats, transfer, _, snaps) = run(spec);

@@ -1,21 +1,18 @@
-//! Pluggable remote-memory backends.
+//! The remote-memory backend.
 //!
-//! The runtime and the pager used to be hard-wired to a single [`Link`]: one
-//! far-memory node behind one wire. This module decouples *what* a caller
-//! asks for (fetch/writeback an object, observe health and occupancy) from
-//! *where* the bytes live, behind the [`RemoteBackend`] trait:
+//! [`Sharded`] decouples *what* a caller asks for (fetch/writeback an
+//! object, observe health and occupancy) from *where* the bytes live. It
+//! spreads objects across N nodes, each with its own [`Link`] (independent
+//! bandwidth queues), its own [`FaultPlan`] schedule, and its own
+//! [`LinkHealth`] tracker, so one shard can degrade or die while the others
+//! keep serving. The default [`BackendSpec`] builds one shard: the paper's
+//! single far-memory node behind one wire, cost-identical to driving that
+//! [`Link`] directly.
 //!
-//! * [`SingleNode`] wraps exactly one [`Link`] — behavior- and
-//!   cost-identical to the pre-trait world (the paper's evaluation fabric);
-//! * [`Sharded`] spreads objects across N nodes, each with its own link
-//!   (independent bandwidth queues), its own [`FaultPlan`] schedule, and its
-//!   own [`LinkHealth`] tracker — one shard can degrade or die while the
-//!   others keep serving.
-//!
-//! Every operation takes a `key` (the caller's object id or page number);
-//! backends route it through a deterministic [`PlacementPolicy`], so the
-//! same seed and the same object set always produce the same shard
-//! assignment — and therefore the same counters and the same run reports.
+//! Every operation takes a `key` (the caller's object id or page number),
+//! routed through a deterministic [`PlacementPolicy`], so the same seed and
+//! the same object set always produce the same shard assignment — and
+//! therefore the same counters and the same run reports.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -73,7 +70,8 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Outcome of re-syncing one key onto a recovering shard
-/// ([`RemoteBackend::resync_key`]).
+/// Outcome of re-syncing one key onto a recovering shard
+/// ([`Sharded::resync_key`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ResyncOutcome {
     /// A surviving replica's copy was re-written to the shard; the value is
@@ -88,7 +86,7 @@ pub enum ResyncOutcome {
 }
 
 /// End-of-run durability audit over every acknowledged writeback
-/// ([`RemoteBackend::audit`]). The chaos suite's core assertion is
+/// ([`Sharded::audit`]). The chaos suite's core assertion is
 /// `lost == 0`: no write the backend acknowledged may ever disappear,
 /// whatever the crash schedule did.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -101,179 +99,6 @@ pub struct FailoverAudit {
     /// Acked keys currently held by fewer shards than their replica set
     /// demands — redundancy not yet restored (but no data lost).
     pub under_replicated: u64,
-}
-
-/// A remote-memory data plane: where localize/writeback traffic goes.
-///
-/// All methods mirror [`Link`]'s contract, with an added routing `key` (the
-/// object id or page number being moved). The blocking forms
-/// ([`transfer`](Self::transfer)/[`writeback`](Self::writeback)) retry
-/// blindly until delivery; the fallible forms
-/// ([`try_transfer`](Self::try_transfer)/[`try_writeback`](Self::try_writeback))
-/// surface the [`LinkFault`] so policy-aware callers (the runtime's
-/// retry/backoff loop) own the retry schedule.
-pub trait RemoteBackend: fmt::Debug {
-    /// Number of remote nodes behind this backend.
-    fn shard_count(&self) -> usize;
-
-    /// The shard serving `key` (always 0 for a single node).
-    fn shard_of(&self, key: u64) -> usize;
-
-    /// Blocking fetch of `bytes` for `key` at cycle `now`; returns the
-    /// completion cycle. Faulted attempts are transparently retried.
-    fn transfer(&mut self, key: u64, bytes: u64, now: u64) -> u64;
-
-    /// Blocking writeback counterpart of [`transfer`](Self::transfer).
-    fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64;
-
-    /// One fetch attempt; the caller owns retry policy on failure.
-    fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault>;
-
-    /// One writeback attempt; the caller owns retry policy on failure.
-    fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault>;
-
-    // --- issue/poll-completion surface (DESIGN.md §6h) --------------------
-    //
-    // The link model computes a transfer's completion cycle analytically at
-    // issue time (bandwidth slot + pipelined latency), so the asynchronous
-    // protocol is a thin split over `try_transfer`: issue the attempt now,
-    // learn the completion cycle immediately, poll it against the caller's
-    // advancing clock. Sharding, replicas, and the fault fabric compose
-    // unchanged underneath — a default method, not a per-backend feature.
-
-    /// Issues one asynchronous fetch attempt for `key` at cycle `now`.
-    /// Returns the cycle the data will be resident (the wire is occupied
-    /// and the ledger charged immediately; the *caller* keeps computing
-    /// until it polls the completion). Fault contract matches
-    /// [`try_transfer`](Self::try_transfer).
-    fn issue_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.try_transfer(key, bytes, now)
-    }
-
-    /// True once an issued transfer with completion cycle `done` has
-    /// delivered by cycle `now`.
-    fn poll_complete(&self, done: u64, now: u64) -> bool {
-        now >= done
-    }
-
-    /// True if any shard has an active fault plan attached. Callers use
-    /// this to keep the flawless-fabric fast path (no retry bookkeeping).
-    fn faults_active(&self) -> bool;
-
-    /// Aggregate health: counters summed, fault-rate EWMA maxed, degraded
-    /// if *any* shard is degraded.
-    fn health(&self) -> LinkHealth;
-
-    /// Health of one shard.
-    ///
-    /// # Panics
-    /// Panics if `shard >= shard_count()`.
-    fn shard_health(&self, shard: usize) -> LinkHealth;
-
-    /// Aggregate transfer ledger (all shards merged).
-    fn stats(&self) -> TransferStats;
-
-    /// Transfer ledger of one shard.
-    ///
-    /// # Panics
-    /// Panics if `shard >= shard_count()`.
-    fn shard_stats(&self, shard: usize) -> TransferStats;
-
-    /// Attaches a telemetry sink (shared across shards).
-    fn set_telemetry(&mut self, tel: Telemetry);
-
-    /// Clears ledgers, occupancy horizons, fault schedules, and health —
-    /// on every shard.
-    fn reset_stats(&mut self);
-
-    /// Clones the backend with its full state (see the blanket
-    /// `Clone for Box<dyn RemoteBackend>`).
-    fn clone_box(&self) -> Box<dyn RemoteBackend>;
-
-    // --- failover surface (DESIGN.md §6g) ---------------------------------
-    //
-    // Every method defaults to the unreplicated, crash-free behaviour, so a
-    // backend that never sees a crash plan pays nothing and implements
-    // nothing.
-
-    /// True when the crash/replication machinery is armed (replication
-    /// factor > 1 or a scripted crash on some shard). Callers gate their
-    /// failover bookkeeping on this — pay-for-use.
-    fn failover_active(&self) -> bool {
-        false
-    }
-
-    /// Replication factor R (1 = unreplicated).
-    fn replicas(&self) -> u32 {
-        1
-    }
-
-    /// Advances scripted crash/restart transitions to cycle `now` without
-    /// issuing traffic (cold restarts wipe the crashed shard's store here).
-    fn poll(&mut self, _now: u64) {}
-
-    /// Failover state of one shard.
-    fn shard_state(&self, _shard: usize) -> ShardState {
-        ShardState::Up
-    }
-
-    /// Restart epoch of one shard (0 until its first crash).
-    fn shard_epoch(&self, _shard: usize) -> u64 {
-        0
-    }
-
-    /// Declares a recovering shard re-synced (`Recovering → Up`), lifting
-    /// its epoch fence. Called by the owner after ledger replay.
-    fn mark_synced(&mut self, _shard: usize) {}
-
-    /// Re-writes `key`'s acknowledged version onto `shard` from a surviving
-    /// replica, charging `bytes` of writeback traffic, if the shard's copy
-    /// is stale or missing.
-    fn resync_key(&mut self, _shard: usize, _key: u64, _bytes: u64, _now: u64) -> ResyncOutcome {
-        ResyncOutcome::Clean
-    }
-
-    /// Restores `key`'s redundancy by copying it from a surviving replica
-    /// onto a substitute shard and re-homing the key off Down shard `from`
-    /// (the migration hook). Returns the copy's completion cycle if a copy
-    /// was made.
-    fn re_replicate(&mut self, _key: u64, _from: usize, _bytes: u64, _now: u64) -> Option<u64> {
-        None
-    }
-
-    /// Backend-driven recovery for callers without their own redo ledger
-    /// (the pager): re-syncs every acknowledged key hosted by `shard`, then
-    /// marks it synced. Returns `(resynced, lost)` counts.
-    fn recover_shard(&mut self, shard: usize, _bytes_per_key: u64, _now: u64) -> (u64, u64) {
-        self.mark_synced(shard);
-        (0, 0)
-    }
-
-    /// End-of-run durability audit; `None` unless the replication machinery
-    /// is armed.
-    fn audit(&self) -> Option<FailoverAudit> {
-        None
-    }
-
-    /// Per-shard ledger + health, for reports. Cheap (copies counters).
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        (0..self.shard_count())
-            .map(|s| ShardSnapshot {
-                stats: self.shard_stats(s),
-                health: self.shard_health(s),
-                state: self.shard_state(s),
-                epoch: self.shard_epoch(s),
-                failover_reads: 0,
-                divergent_writes: 0,
-            })
-            .collect()
-    }
-}
-
-impl Clone for Box<dyn RemoteBackend> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// One shard's end-of-run counters, as published into run reports.
@@ -356,39 +181,34 @@ impl PlacementPolicy {
 /// Declarative backend selection, carried by run configurations.
 ///
 /// `Copy` on purpose: configs spread freely through the workspace. The spec
-/// is *what to build*; [`build_backend`] turns it into a live backend.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum BackendSpec {
-    /// One remote node behind one link (the paper's fabric). The default.
-    #[default]
-    SingleNode,
-    /// N remote nodes, each with an independent link and fault schedule.
-    Sharded {
-        /// Number of remote nodes (≥ 1).
-        shards: u32,
-        /// Object→shard routing policy.
-        placement: PlacementPolicy,
-        /// When set, the configured fault plan applies *only* to this shard
-        /// (the "one node dies" experiment); otherwise every shard runs the
-        /// plan with a per-shard derived seed.
-        fault_shard: Option<u32>,
-        /// Replication factor R: every object lives on R consecutive shards
-        /// of its placement ring. 1 (the default) is unreplicated and
-        /// bit-identical to the pre-replication backend.
-        replicas: u32,
-    },
+/// is *what to build*; [`build_backend`] turns it into a live backend. The
+/// default is one shard: the paper's single remote node behind one link.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct BackendSpec {
+    /// Number of remote nodes (≥ 1).
+    pub shards: u32,
+    /// Object→shard routing policy.
+    pub placement: PlacementPolicy,
+    /// When set, the configured fault plan applies *only* to this shard
+    /// (the "one node dies" experiment); otherwise every shard runs the
+    /// plan with a per-shard derived seed.
+    pub fault_shard: Option<u32>,
+    /// Replication factor R: every object lives on R consecutive shards of
+    /// its placement ring. 1 (the default) is unreplicated and
+    /// bit-identical to the pre-replication backend.
+    pub replicas: u32,
+}
+
+impl Default for BackendSpec {
+    fn default() -> Self {
+        BackendSpec::sharded(1)
+    }
 }
 
 impl BackendSpec {
-    /// The single-node default.
-    pub fn single() -> Self {
-        BackendSpec::SingleNode
-    }
-
-    /// A sharded backend with `shards` nodes, hashed placement, and no
-    /// replication.
+    /// A backend with `shards` nodes, hashed placement, and no replication.
     pub fn sharded(shards: u32) -> Self {
-        BackendSpec::Sharded {
+        BackendSpec {
             shards,
             placement: PlacementPolicy::Hash,
             fault_shard: None,
@@ -396,284 +216,103 @@ impl BackendSpec {
         }
     }
 
-    /// Returns a copy with a different placement policy (sharded specs
-    /// only; a no-op on [`BackendSpec::SingleNode`]).
-    pub fn with_placement(mut self, policy: PlacementPolicy) -> Self {
-        if let BackendSpec::Sharded { placement, .. } = &mut self {
-            *placement = policy;
-        }
+    /// Returns a copy with a different placement policy.
+    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
+        self.placement = placement;
         self
     }
 
-    /// Returns a copy targeting the fault plan at one shard (sharded specs
-    /// only; a no-op on [`BackendSpec::SingleNode`]).
+    /// Returns a copy targeting the fault plan at one shard.
     pub fn with_fault_shard(mut self, shard: u32) -> Self {
-        if let BackendSpec::Sharded { fault_shard, .. } = &mut self {
-            *fault_shard = Some(shard);
-        }
+        self.fault_shard = Some(shard);
         self
     }
 
-    /// Returns a copy with replication factor `r` (sharded specs only; a
-    /// no-op on [`BackendSpec::SingleNode`]).
+    /// Returns a copy with replication factor `r`.
     pub fn with_replicas(mut self, r: u32) -> Self {
-        if let BackendSpec::Sharded { replicas, .. } = &mut self {
-            *replicas = r;
-        }
+        self.replicas = r;
         self
     }
 
-    /// The spec's replication factor (1 unless a sharded spec raised it).
-    pub fn replica_count(&self) -> u32 {
-        match self {
-            BackendSpec::SingleNode => 1,
-            BackendSpec::Sharded { replicas, .. } => *replicas,
-        }
-    }
-
-    /// Number of shards this spec builds.
-    pub fn shard_count(&self) -> u32 {
-        match self {
-            BackendSpec::SingleNode => 1,
-            BackendSpec::Sharded { shards, .. } => (*shards).max(1),
-        }
-    }
-
-    /// True for the single-node default.
-    pub fn is_single(&self) -> bool {
-        matches!(self, BackendSpec::SingleNode)
-    }
-
-    /// Validates invariants, returning a descriptive [`SpecError`] for a
-    /// sharded spec with zero shards, an out-of-range fault shard, or an
-    /// impossible replication factor. Callers that cannot proceed simply
-    /// unwrap — the error's `Display` is the panic message.
+    /// Validates invariants, returning a descriptive [`SpecError`] for zero
+    /// shards, an out-of-range fault shard, or an impossible replication
+    /// factor. Callers that cannot proceed simply unwrap — the error's
+    /// `Display` is the panic message.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if let BackendSpec::Sharded {
-            shards,
-            fault_shard,
-            replicas,
-            ..
-        } = self
-        {
-            if *shards == 0 {
-                return Err(SpecError::ZeroShards);
-            }
-            if let Some(fs) = fault_shard {
-                if fs >= shards {
-                    return Err(SpecError::FaultShardOutOfRange {
-                        fault_shard: *fs,
-                        shards: *shards,
-                    });
-                }
-            }
-            if *replicas == 0 {
-                return Err(SpecError::ZeroReplicas);
-            }
-            if replicas > shards {
-                return Err(SpecError::ReplicasExceedShards {
-                    replicas: *replicas,
-                    shards: *shards,
-                });
-            }
+        let shards = self.shards;
+        if shards == 0 {
+            return Err(SpecError::ZeroShards);
         }
-        Ok(())
+        if let Some(fault_shard) = self.fault_shard.filter(|&fs| fs >= shards) {
+            return Err(SpecError::FaultShardOutOfRange {
+                fault_shard,
+                shards,
+            });
+        }
+        match self.replicas {
+            0 => Err(SpecError::ZeroReplicas),
+            replicas if replicas > shards => {
+                Err(SpecError::ReplicasExceedShards { replicas, shards })
+            }
+            _ => Ok(()),
+        }
     }
 }
 
 impl fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendSpec::SingleNode => write!(f, "single"),
-            BackendSpec::Sharded {
-                shards,
-                placement,
-                fault_shard,
-                replicas,
-            } => {
-                write!(f, "sharded({shards}, {})", placement.name())?;
-                if *replicas > 1 {
-                    write!(f, " replicas={replicas}")?;
-                }
-                if let Some(fs) = fault_shard {
-                    write!(f, " fault_shard={fs}")?;
-                }
-                Ok(())
-            }
+        write!(f, "sharded({}, {})", self.shards, self.placement.name())?;
+        if self.replicas > 1 {
+            write!(f, " replicas={}", self.replicas)?;
         }
+        if let Some(fs) = self.fault_shard {
+            write!(f, " fault_shard={fs}")?;
+        }
+        Ok(())
     }
 }
 
 /// Builds a live backend from a spec: link parameters are shared by every
 /// shard, the fault plan is attached per the spec's targeting rules.
 ///
-/// Seed derivation for untargeted sharded plans: shard 0 keeps the plan's
-/// seed verbatim (so `Sharded` with one shard is schedule-identical to
-/// [`SingleNode`]); shard `i > 0` draws `mix(seed ^ i)` so shards fault
+/// Seed derivation for untargeted plans: shard 0 keeps the plan's seed
+/// verbatim (so a one-shard backend replays exactly the schedule a bare
+/// [`Link`] would); shard `i > 0` draws `mix(seed ^ i)` so shards fault
 /// independently instead of in lockstep.
-pub fn build_backend(
-    params: LinkParams,
-    spec: BackendSpec,
-    faults: FaultPlan,
-) -> Box<dyn RemoteBackend> {
+///
+/// # Panics
+/// Panics with the [`SpecError`] message if the spec is invalid.
+pub fn build_backend(params: LinkParams, spec: BackendSpec, faults: FaultPlan) -> Sharded {
     spec.validate().unwrap_or_else(|e| panic!("{e}"));
-    match spec {
-        BackendSpec::SingleNode => {
-            let mut b = SingleNode::new(params);
-            b.set_fault_plan(faults);
-            Box::new(b)
-        }
-        BackendSpec::Sharded {
-            shards,
-            placement,
-            fault_shard,
-            replicas,
-        } => {
-            let mut b = Sharded::new(params, shards.max(1), placement);
-            match fault_shard {
-                Some(fs) => b.set_fault_plan_on(fs as usize, faults),
-                None if faults.is_active() => {
-                    for s in 0..b.shard_count() {
-                        let mut plan = faults;
-                        if s > 0 {
-                            plan.seed = mix(faults.seed ^ s as u64);
-                        }
-                        b.set_fault_plan_on(s, plan);
-                    }
+    let mut b = Sharded::new(params, spec.shards, spec.placement);
+    match spec.fault_shard {
+        Some(fs) => b.set_fault_plan_on(fs as usize, faults),
+        None if faults.is_active() => {
+            for s in 0..b.shard_count() {
+                let mut plan = faults;
+                if s > 0 {
+                    plan.seed = mix(faults.seed ^ s as u64);
                 }
-                None => {}
+                b.set_fault_plan_on(s, plan);
             }
-            b.set_replicas(replicas);
-            Box::new(b)
         }
+        None => {}
     }
+    b.set_replicas(spec.replicas);
+    b
 }
-
-// ======================================================================
-// SingleNode
-// ======================================================================
-
-/// The classic one-node backend: a thin wrapper over today's [`Link`],
-/// behavior- and cost-identical to driving the link directly (the routing
-/// key is ignored; there is nowhere else to go).
-#[derive(Clone, Debug)]
-pub struct SingleNode {
-    link: Link,
-}
-
-impl SingleNode {
-    /// Creates a single-node backend over an idle link.
-    pub fn new(params: LinkParams) -> Self {
-        SingleNode {
-            link: Link::new(params),
-        }
-    }
-
-    /// Attaches a fault plan to the node's link.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.link.set_fault_plan(plan);
-    }
-
-    /// The wrapped link (for assertions in tests).
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-}
-
-impl RemoteBackend for SingleNode {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn shard_of(&self, _key: u64) -> usize {
-        0
-    }
-
-    fn transfer(&mut self, _key: u64, bytes: u64, now: u64) -> u64 {
-        self.link.transfer(bytes, now)
-    }
-
-    fn writeback(&mut self, _key: u64, bytes: u64, now: u64) -> u64 {
-        self.link.writeback(bytes, now)
-    }
-
-    fn try_transfer(&mut self, _key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.link.try_transfer(bytes, now)
-    }
-
-    fn try_writeback(&mut self, _key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
-        self.link.try_writeback(bytes, now)
-    }
-
-    fn faults_active(&self) -> bool {
-        self.link.fault_plan().is_active()
-    }
-
-    fn health(&self) -> LinkHealth {
-        self.link.health()
-    }
-
-    fn shard_health(&self, shard: usize) -> LinkHealth {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.health()
-    }
-
-    fn stats(&self) -> TransferStats {
-        self.link.stats()
-    }
-
-    fn shard_stats(&self, shard: usize) -> TransferStats {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.stats()
-    }
-
-    fn set_telemetry(&mut self, tel: Telemetry) {
-        self.link.set_telemetry(tel);
-    }
-
-    fn reset_stats(&mut self) {
-        self.link.reset_stats();
-    }
-
-    fn clone_box(&self) -> Box<dyn RemoteBackend> {
-        Box::new(self.clone())
-    }
-
-    // With one node there is nowhere to fail over to: crashes surface as
-    // fail-fast faults and the state machine is visible, but there is no
-    // replica store to audit (a single-node cold restart's loss is the
-    // caller's problem — that is exactly what replication buys you).
-    fn failover_active(&self) -> bool {
-        self.link.fault_plan().crash.is_some()
-    }
-
-    fn poll(&mut self, now: u64) {
-        self.link.poll_failover(now);
-    }
-
-    fn shard_state(&self, shard: usize) -> ShardState {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.failover_state()
-    }
-
-    fn shard_epoch(&self, shard: usize) -> u64 {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.epoch()
-    }
-
-    fn mark_synced(&mut self, shard: usize) {
-        assert_eq!(shard, 0, "single node has exactly one shard");
-        self.link.mark_synced();
-    }
-}
-
-// ======================================================================
-// Sharded
-// ======================================================================
 
 /// N remote nodes, each behind its own [`Link`]: independent bandwidth
 /// queues and occupancy horizons (fetches to different shards pipeline
 /// freely), independent fault schedules, independent health trackers.
+///
+/// Every data-plane method mirrors [`Link`]'s contract, with an added
+/// routing `key` (the object id or page number being moved). The blocking
+/// forms ([`transfer`](Self::transfer)/[`writeback`](Self::writeback))
+/// retry blindly until delivery; the fallible forms
+/// ([`try_transfer`](Self::try_transfer)/[`try_writeback`](Self::try_writeback))
+/// surface the [`LinkFault`] so policy-aware callers (the runtime's
+/// retry/backoff loop) own the retry schedule.
 ///
 /// With `replicas > 1` (or any scripted crash plan attached) the backend
 /// switches into *tracked* mode: every object lives on R consecutive shards
@@ -920,14 +559,14 @@ impl Sharded {
             }
         }
     }
-}
 
-impl RemoteBackend for Sharded {
-    fn shard_count(&self) -> usize {
+    /// Number of remote nodes behind this backend.
+    pub fn shard_count(&self) -> usize {
         self.links.len()
     }
 
-    fn shard_of(&self, key: u64) -> usize {
+    /// The shard serving `key` (the first of its replica set).
+    pub fn shard_of(&self, key: u64) -> usize {
         if self.tracked {
             self.replica_set(key)[0]
         } else {
@@ -935,7 +574,9 @@ impl RemoteBackend for Sharded {
         }
     }
 
-    fn transfer(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
+    /// Blocking fetch of `bytes` for `key` at cycle `now`; returns the
+    /// completion cycle. Faulted attempts are transparently retried.
+    pub fn transfer(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
         if self.tracked {
             return self.tracked_blocking(key, bytes, now, false);
         }
@@ -943,7 +584,8 @@ impl RemoteBackend for Sharded {
         self.links[s].transfer(bytes, now)
     }
 
-    fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
+    /// Blocking writeback counterpart of [`transfer`](Self::transfer).
+    pub fn writeback(&mut self, key: u64, bytes: u64, now: u64) -> u64 {
         if self.tracked {
             return self.tracked_blocking(key, bytes, now, true);
         }
@@ -951,7 +593,8 @@ impl RemoteBackend for Sharded {
         self.links[s].writeback(bytes, now)
     }
 
-    fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
+    /// One fetch attempt; the caller owns retry policy on failure.
+    pub fn try_transfer(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
         if self.tracked {
             return self.tracked_try_transfer(key, bytes, now);
         }
@@ -959,7 +602,8 @@ impl RemoteBackend for Sharded {
         self.links[s].try_transfer(bytes, now)
     }
 
-    fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
+    /// One writeback attempt; the caller owns retry policy on failure.
+    pub fn try_writeback(&mut self, key: u64, bytes: u64, now: u64) -> Result<u64, LinkFault> {
         if self.tracked {
             return self.tracked_try_writeback(key, bytes, now);
         }
@@ -967,11 +611,15 @@ impl RemoteBackend for Sharded {
         self.links[s].try_writeback(bytes, now)
     }
 
-    fn faults_active(&self) -> bool {
+    /// True if any shard has an active fault plan attached. Callers use
+    /// this to keep the flawless-fabric fast path (no retry bookkeeping).
+    pub fn faults_active(&self) -> bool {
         self.links.iter().any(|l| l.fault_plan().is_active())
     }
 
-    fn health(&self) -> LinkHealth {
+    /// Aggregate health: counters summed, fault-rate EWMA maxed, degraded
+    /// if *any* shard is degraded.
+    pub fn health(&self) -> LinkHealth {
         let mut agg = LinkHealth::default();
         for l in &self.links {
             agg.absorb(&l.health());
@@ -979,11 +627,16 @@ impl RemoteBackend for Sharded {
         agg
     }
 
-    fn shard_health(&self, shard: usize) -> LinkHealth {
+    /// Health of one shard.
+    ///
+    /// # Panics
+    /// Panics if `shard >= shard_count()`.
+    pub fn shard_health(&self, shard: usize) -> LinkHealth {
         self.links[shard].health()
     }
 
-    fn stats(&self) -> TransferStats {
+    /// Aggregate transfer ledger (all shards merged).
+    pub fn stats(&self) -> TransferStats {
         use tfm_telemetry::MergeStats;
         let mut agg = TransferStats::default();
         for l in &self.links {
@@ -992,17 +645,24 @@ impl RemoteBackend for Sharded {
         agg
     }
 
-    fn shard_stats(&self, shard: usize) -> TransferStats {
+    /// Transfer ledger of one shard.
+    ///
+    /// # Panics
+    /// Panics if `shard >= shard_count()`.
+    pub fn shard_stats(&self, shard: usize) -> TransferStats {
         self.links[shard].stats()
     }
 
-    fn set_telemetry(&mut self, tel: Telemetry) {
+    /// Attaches a telemetry sink (shared across shards).
+    pub fn set_telemetry(&mut self, tel: Telemetry) {
         for l in &mut self.links {
             l.set_telemetry(tel.clone());
         }
     }
 
-    fn reset_stats(&mut self) {
+    /// Clears ledgers, occupancy horizons, fault schedules, health, and the
+    /// replica bookkeeping — on every shard.
+    pub fn reset_stats(&mut self) {
         for l in &mut self.links {
             l.reset_stats();
         }
@@ -1017,37 +677,46 @@ impl RemoteBackend for Sharded {
         self.divergent_writes.fill(0);
     }
 
-    fn clone_box(&self) -> Box<dyn RemoteBackend> {
-        Box::new(self.clone())
-    }
-
-    fn failover_active(&self) -> bool {
+    /// True when the crash/replication machinery is armed (replication
+    /// factor > 1 or a scripted crash on some shard). Callers gate their
+    /// failover bookkeeping on this — pay-for-use.
+    pub fn failover_active(&self) -> bool {
         self.tracked
     }
 
-    fn replicas(&self) -> u32 {
+    /// Replication factor R (1 = unreplicated).
+    pub fn replicas(&self) -> u32 {
         self.replicas
     }
 
-    fn poll(&mut self, now: u64) {
+    /// Advances scripted crash/restart transitions to cycle `now` without
+    /// issuing traffic (cold restarts wipe the crashed shard's store here).
+    pub fn poll(&mut self, now: u64) {
         if self.tracked {
             self.poll_all(now);
         }
     }
 
-    fn shard_state(&self, shard: usize) -> ShardState {
+    /// Failover state of one shard.
+    pub fn shard_state(&self, shard: usize) -> ShardState {
         self.links[shard].failover_state()
     }
 
-    fn shard_epoch(&self, shard: usize) -> u64 {
+    /// Restart epoch of one shard (0 until its first crash).
+    pub fn shard_epoch(&self, shard: usize) -> u64 {
         self.links[shard].epoch()
     }
 
-    fn mark_synced(&mut self, shard: usize) {
+    /// Declares a recovering shard re-synced (`Recovering → Up`), lifting
+    /// its epoch fence. Called by the owner after ledger replay.
+    pub fn mark_synced(&mut self, shard: usize) {
         self.links[shard].mark_synced();
     }
 
-    fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome {
+    /// Re-writes `key`'s acknowledged version onto `shard` from a surviving
+    /// replica, charging `bytes` of writeback traffic, if the shard's copy
+    /// is stale or missing.
+    pub fn resync_key(&mut self, shard: usize, key: u64, bytes: u64, now: u64) -> ResyncOutcome {
         if !self.tracked {
             return ResyncOutcome::Clean;
         }
@@ -1083,7 +752,11 @@ impl RemoteBackend for Sharded {
         ResyncOutcome::Synced(done)
     }
 
-    fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64> {
+    /// Restores `key`'s redundancy by copying it from a surviving replica
+    /// onto a substitute shard and re-homing the key off Down shard `from`
+    /// (the migration hook). Returns the copy's completion cycle if a copy
+    /// was made.
+    pub fn re_replicate(&mut self, key: u64, from: usize, bytes: u64, now: u64) -> Option<u64> {
         if !self.tracked || self.replicas <= 1 {
             return None;
         }
@@ -1116,7 +789,10 @@ impl RemoteBackend for Sharded {
         Some(done)
     }
 
-    fn recover_shard(&mut self, shard: usize, bytes_per_key: u64, now: u64) -> (u64, u64) {
+    /// Backend-driven recovery for callers without their own redo ledger
+    /// (the pager): re-syncs every acknowledged key hosted by `shard`, then
+    /// marks it synced. Returns `(resynced, lost)` counts.
+    pub fn recover_shard(&mut self, shard: usize, bytes_per_key: u64, now: u64) -> (u64, u64) {
         let keys: Vec<u64> = self.acked.keys().copied().collect();
         let (mut resynced, mut lost) = (0u64, 0u64);
         for key in keys {
@@ -1130,7 +806,9 @@ impl RemoteBackend for Sharded {
         (resynced, lost)
     }
 
-    fn audit(&self) -> Option<FailoverAudit> {
+    /// End-of-run durability audit; `None` unless the replication machinery
+    /// is armed.
+    pub fn audit(&self) -> Option<FailoverAudit> {
         if !self.tracked {
             return None;
         }
@@ -1159,7 +837,8 @@ impl RemoteBackend for Sharded {
         Some(audit)
     }
 
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
+    /// Per-shard ledger + health, for reports. Cheap (copies counters).
+    pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
         (0..self.shard_count())
             .map(|s| ShardSnapshot {
                 stats: self.shard_stats(s),
@@ -1212,26 +891,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_with_one_shard_matches_single_node() {
-        // Cost-identity: same transfers, same completion cycles, same
-        // ledger — with and without an active fault plan (shard 0 keeps the
-        // plan's seed verbatim).
+    fn one_shard_costs_exactly_what_a_bare_link_does() {
+        // The default one-node backend is the paper's fabric: same
+        // completion cycles, same ledger, same health as driving one `Link`
+        // directly — with and without an active fault plan (shard 0 keeps
+        // the plan's seed verbatim).
         for faults in [FaultPlan::none(), FaultPlan::drops(0xFEED, 300_000)] {
-            let mut single = build_backend(LinkParams::tcp_25g(), BackendSpec::single(), faults);
-            let mut sharded = build_backend(LinkParams::tcp_25g(), BackendSpec::sharded(1), faults);
+            let mut link = Link::new(LinkParams::tcp_25g());
+            link.set_fault_plan(faults);
+            let mut one = build_backend(LinkParams::tcp_25g(), BackendSpec::default(), faults);
             for k in 0..256u64 {
                 let (bytes, at) = (64 + k * 131, k * 5000);
-                assert_eq!(
-                    single.transfer(k, bytes, at),
-                    sharded.transfer(k, bytes, at)
-                );
-                assert_eq!(
-                    single.writeback(k, bytes, at),
-                    sharded.writeback(k, bytes, at)
-                );
+                assert_eq!(link.transfer(bytes, at), one.transfer(k, bytes, at));
+                assert_eq!(link.writeback(bytes, at), one.writeback(k, bytes, at));
             }
-            assert_eq!(single.stats(), sharded.stats());
-            assert_eq!(single.health(), sharded.health());
+            assert_eq!(link.stats(), one.stats());
+            assert_eq!(link.health(), one.health());
+            assert_eq!(one.stats().faults > 0, faults.is_active(), "{faults:?}");
         }
     }
 
@@ -1307,20 +983,8 @@ mod tests {
     fn untargeted_plans_get_per_shard_seeds() {
         let faults = FaultPlan::drops(0xABCD, 500_000);
         let b = build_backend(LinkParams::tcp_25g(), BackendSpec::sharded(4), faults);
-        // Reach through the snapshots: drive each shard's schedule by
-        // routing keys per shard and checking the schedules differ. Cheaper:
-        // the plans themselves must carry distinct seeds but identical rates.
-        let sharded = b; // Box<dyn>; inspect via a fresh build instead
-        drop(sharded);
-        let mut direct = Sharded::new(LinkParams::tcp_25g(), 4, PlacementPolicy::Hash);
-        for s in 0..4 {
-            let mut plan = faults;
-            if s > 0 {
-                plan.seed = mix(faults.seed ^ s as u64);
-            }
-            direct.set_fault_plan_on(s, plan);
-        }
-        let seeds: Vec<u64> = (0..4).map(|s| direct.link(s).fault_plan().seed).collect();
+        // The plans themselves must carry distinct seeds but identical rates.
+        let seeds: Vec<u64> = (0..4).map(|s| b.link(s).fault_plan().seed).collect();
         assert_eq!(
             seeds[0], faults.seed,
             "shard 0 keeps the seed (1-shard identity)"
@@ -1334,7 +998,7 @@ mod tests {
             "shards must not fault in lockstep: {seeds:?}"
         );
         for s in 0..4 {
-            assert_eq!(direct.link(s).fault_plan().drop_ppm, faults.drop_ppm);
+            assert_eq!(b.link(s).fault_plan().drop_ppm, faults.drop_ppm);
         }
     }
 
@@ -1359,32 +1023,18 @@ mod tests {
     }
 
     #[test]
-    fn clone_box_preserves_state() {
-        let mut b: Box<dyn RemoteBackend> = Box::new(Sharded::new(
-            LinkParams::tcp_25g(),
-            2,
-            PlacementPolicy::Hash,
-        ));
-        b.transfer(0, 4096, 0);
-        let c = b.clone();
-        assert_eq!(b.stats(), c.stats());
-        assert_eq!(b.shard_count(), c.shard_count());
-    }
-
-    #[test]
     fn spec_display_and_validation() {
-        assert_eq!(BackendSpec::single().to_string(), "single");
+        assert_eq!(BackendSpec::default(), BackendSpec::sharded(1));
+        assert_eq!(BackendSpec::default().to_string(), "sharded(1, hash)");
         let s = BackendSpec::sharded(4)
             .with_placement(PlacementPolicy::Interleave)
             .with_fault_shard(1);
         assert_eq!(s.to_string(), "sharded(4, interleave) fault_shard=1");
-        assert_eq!(s.shard_count(), 4);
-        assert!(!s.is_single());
-        assert_eq!(s.replica_count(), 1);
+        assert_eq!((s.shards, s.replicas), (4, 1));
         s.validate().unwrap();
         let r = BackendSpec::sharded(4).with_replicas(2);
         assert_eq!(r.to_string(), "sharded(4, hash) replicas=2");
-        assert_eq!(r.replica_count(), 2);
+        assert_eq!(r.replicas, 2);
         r.validate().unwrap();
     }
 
@@ -1413,7 +1063,23 @@ mod tests {
             })
         );
         assert!(BackendSpec::sharded(2).with_replicas(2).validate().is_ok());
-        assert!(BackendSpec::single().validate().is_ok());
+        assert!(BackendSpec::default().validate().is_ok());
+        // One shard has no room for a second replica or a second node to
+        // fault: both are errors, not silent no-ops.
+        assert_eq!(
+            BackendSpec::default().with_replicas(2).validate(),
+            Err(SpecError::ReplicasExceedShards {
+                replicas: 2,
+                shards: 1
+            })
+        );
+        assert_eq!(
+            BackendSpec::default().with_fault_shard(1).validate(),
+            Err(SpecError::FaultShardOutOfRange {
+                fault_shard: 1,
+                shards: 1
+            })
+        );
         // The Display text is descriptive — panicking callers surface it
         // verbatim, so config-level #[should_panic] pins keep matching.
         let msg = BackendSpec::sharded(2)

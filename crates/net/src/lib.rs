@@ -42,8 +42,8 @@ mod fault;
 mod retry;
 
 pub use backend::{
-    build_backend, BackendSpec, FailoverAudit, PlacementPolicy, RemoteBackend, ResyncOutcome,
-    ShardSnapshot, Sharded, SingleNode, SpecError,
+    build_backend, BackendSpec, FailoverAudit, PlacementPolicy, ResyncOutcome, ShardSnapshot,
+    Sharded, SpecError,
 };
 pub use fault::{
     CrashWindow, FaultKind, FaultPlan, LinkFault, LinkHealth, OutageWindow, ShardState, PPM,
@@ -220,7 +220,7 @@ pub struct Link {
     /// fabric pays one `Option` branch per transfer and nothing else.
     fault: Option<FaultState>,
     health: LinkHealth,
-    /// Shard index stamped on traced transfer spans (0 for a single-node
+    /// Shard index stamped on traced transfer spans (0 for a one-shard
     /// backend; set by `Sharded` so each link gets its own trace track).
     shard: u32,
     /// Failover state of the node behind this link (DESIGN.md §6g). Only

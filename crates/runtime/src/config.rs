@@ -1,6 +1,8 @@
 //! Runtime configuration.
 
-use tfm_net::{BackendSpec, FaultPlan, LinkParams};
+use std::fmt;
+
+use tfm_net::{BackendSpec, FaultPlan, LinkParams, SpecError};
 
 /// Retry/backoff policy the runtime applies to faulted link operations.
 ///
@@ -147,6 +149,42 @@ pub struct FarMemoryConfig {
     pub backend: BackendSpec,
 }
 
+/// Why a [`FarMemoryConfig`] is invalid. Returned by
+/// [`FarMemoryConfig::validate`]; `Display` gives the message
+/// [`FarMemory::new`](crate::FarMemory::new) panics with.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The object size is not a power of two in `[64, 4096]`.
+    ObjectSize(u64),
+    /// The heap size is zero or not a multiple of the object size.
+    HeapSize,
+    /// The local budget is zero.
+    ZeroBudget,
+    /// The backend spec is invalid.
+    Backend(SpecError),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ObjectSize(size) => write!(
+                f,
+                "object size must be a power of two in [64, 4096], got {size}"
+            ),
+            ConfigError::HeapSize => {
+                write!(
+                    f,
+                    "heap size must be a positive multiple of the object size"
+                )
+            }
+            ConfigError::ZeroBudget => write!(f, "local budget must be positive"),
+            ConfigError::Backend(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl FarMemoryConfig {
     /// A small default configuration: 64 MiB heap, 4 KiB objects, 16 MiB
     /// local budget, TCP backend.
@@ -159,27 +197,24 @@ impl FarMemoryConfig {
             prefetch: PrefetchConfig::default(),
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
-            backend: BackendSpec::SingleNode,
+            backend: BackendSpec::default(),
         }
     }
 
-    /// Validates invariants, panicking with a descriptive message otherwise.
-    ///
-    /// # Panics
-    /// If the object size is not a power of two in `[64, 4096]`, or the heap
-    /// size is not a multiple of the object size, or the budget is zero.
-    pub fn validate(&self) {
-        assert!(
-            self.object_size.is_power_of_two() && (64..=4096).contains(&self.object_size),
-            "object size must be a power of two in [64, 4096], got {}",
-            self.object_size
-        );
-        assert!(
-            self.heap_size.is_multiple_of(self.object_size) && self.heap_size > 0,
-            "heap size must be a positive multiple of the object size"
-        );
-        assert!(self.local_budget > 0, "local budget must be positive");
-        self.backend.validate().unwrap_or_else(|e| panic!("{e}"));
+    /// Validates invariants: the object size is a power of two in
+    /// `[64, 4096]`, the heap size a positive multiple of it, the budget
+    /// non-zero, and the backend spec valid.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !self.object_size.is_power_of_two() || !(64..=4096).contains(&self.object_size) {
+            return Err(ConfigError::ObjectSize(self.object_size));
+        }
+        if self.heap_size == 0 || !self.heap_size.is_multiple_of(self.object_size) {
+            return Err(ConfigError::HeapSize);
+        }
+        if self.local_budget == 0 {
+            return Err(ConfigError::ZeroBudget);
+        }
+        self.backend.validate().map_err(ConfigError::Backend)
     }
 
     /// Number of objects in the heap (= state-table entries).
@@ -229,7 +264,7 @@ impl FarMemoryConfig {
     }
 
     /// Returns a copy with replication factor `r` on the current backend
-    /// (sharded backends only; a no-op on a single node).
+    /// (`r` may not exceed its shard count; see [`validate`](Self::validate)).
     pub fn with_replicas(mut self, r: u32) -> Self {
         self.backend = self.backend.with_replicas(r);
         self
@@ -243,23 +278,24 @@ mod tests {
     #[test]
     fn small_config_is_valid() {
         let c = FarMemoryConfig::small();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.num_objects(), (64 << 20) / 4096);
         assert_eq!(c.log2_object_size(), 12);
     }
 
     #[test]
-    #[should_panic(expected = "object size")]
     fn rejects_non_power_of_two_objects() {
-        FarMemoryConfig::small().with_object_size(3000).validate();
+        let err = FarMemoryConfig::small().with_object_size(3000).validate();
+        assert_eq!(err, Err(ConfigError::ObjectSize(3000)));
+        assert!(err.unwrap_err().to_string().contains("object size"));
     }
 
     #[test]
-    #[should_panic(expected = "object size")]
     fn rejects_tiny_objects() {
         // §3.2: below a cache line "would saturate the network with many
         // small packets".
-        FarMemoryConfig::small().with_object_size(32).validate();
+        let err = FarMemoryConfig::small().with_object_size(32).validate();
+        assert_eq!(err, Err(ConfigError::ObjectSize(32)));
     }
 
     #[test]
@@ -362,28 +398,34 @@ mod tests {
     #[test]
     fn replicas_builder_updates_the_backend_spec() {
         let c = FarMemoryConfig::small().with_shards(4).with_replicas(2);
-        c.validate();
-        assert_eq!(c.backend.replica_count(), 2);
-        // A no-op on the single-node default.
-        let s = FarMemoryConfig::small().with_replicas(2);
-        s.validate();
-        assert!(s.backend.is_single());
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(c.backend.replicas, 2);
     }
 
     #[test]
-    #[should_panic(expected = "replication factor")]
     fn rejects_more_replicas_than_shards() {
-        FarMemoryConfig::small()
-            .with_shards(2)
-            .with_replicas(3)
-            .validate();
+        // The one-node default included: a second replica needs a node.
+        for (shards, replicas) in [(2, 3), (1, 2)] {
+            let c = FarMemoryConfig::small()
+                .with_shards(shards)
+                .with_replicas(replicas);
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::Backend(SpecError::ReplicasExceedShards {
+                    replicas,
+                    shards
+                }))
+            );
+        }
+        let msg = FarMemoryConfig::small().with_replicas(2).validate();
+        assert!(msg.unwrap_err().to_string().contains("replication factor"));
     }
 
     #[test]
     fn faults_builder_attaches_a_plan() {
         let plan = FaultPlan::drops(11, 5_000);
         let c = FarMemoryConfig::small().with_faults(plan);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.faults, plan);
         assert!(c.faults.is_active());
     }
@@ -391,18 +433,18 @@ mod tests {
     #[test]
     fn backend_builder_selects_sharding() {
         let c = FarMemoryConfig::small().with_shards(4);
-        c.validate();
-        assert_eq!(c.backend.shard_count(), 4);
-        assert!(!c.backend.is_single());
-        assert!(FarMemoryConfig::small().backend.is_single());
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(c.backend.shards, 4);
+        assert_eq!(FarMemoryConfig::small().backend, BackendSpec::sharded(1));
     }
 
     #[test]
-    #[should_panic(expected = "fault shard")]
     fn rejects_fault_shard_out_of_range() {
-        FarMemoryConfig::small()
+        let err = FarMemoryConfig::small()
             .with_backend(BackendSpec::sharded(2).with_fault_shard(7))
-            .validate();
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("fault shard 7 out of range"));
     }
 
     #[test]
@@ -411,7 +453,7 @@ mod tests {
             .with_object_size(256)
             .with_local_budget(1 << 20)
             .with_prefetch(false);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.object_size, 256);
         assert_eq!(c.local_budget, 1 << 20);
         assert!(!c.prefetch.enabled);

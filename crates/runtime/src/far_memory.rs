@@ -30,8 +30,8 @@ use crate::state::{StateTable, DIRTY, HOT, INFLIGHT, PARTIAL, PRESENT};
 use crate::stats::RuntimeStats;
 use std::collections::{BTreeSet, VecDeque};
 use tfm_net::{
-    build_backend, drive_retries, FailoverAudit, LinkFault, LinkHealth, RemoteBackend,
-    ResyncOutcome, RetryOps, ShardSnapshot, ShardState, TransferStats,
+    build_backend, drive_retries, FailoverAudit, LinkFault, LinkHealth, ResyncOutcome, RetryOps,
+    ShardSnapshot, ShardState, Sharded, TransferStats,
 };
 use tfm_telemetry::{EventKind, Span, SpanId, SpanKind, Telemetry};
 
@@ -42,7 +42,7 @@ pub struct FarMemory {
     log2_obj: u32,
     table: StateTable,
     alloc: RegionAllocator,
-    backend: Box<dyn RemoteBackend>,
+    backend: Sharded,
     clock: VecDeque<ObjId>,
     resident_bytes: u64,
     stats: RuntimeStats,
@@ -105,10 +105,10 @@ impl FarMemory {
     /// Creates a runtime from a validated configuration.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid (see
-    /// [`FarMemoryConfig::validate`]).
+    /// Panics with the [`ConfigError`](crate::ConfigError) message if the
+    /// configuration is invalid (see [`FarMemoryConfig::validate`]).
     pub fn new(cfg: FarMemoryConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let backend = build_backend(cfg.link, cfg.backend, cfg.faults);
         let faults_active = backend.faults_active();
         let failover_active = backend.failover_active();
@@ -243,7 +243,7 @@ impl FarMemory {
     }
 
     /// The replica audit (acknowledged keys, losses, under-replication) —
-    /// `None` on backends that do not track failover.
+    /// `None` unless the backend tracks failover.
     pub fn failover_audit(&self) -> Option<FailoverAudit> {
         self.backend.audit()
     }
@@ -254,8 +254,8 @@ impl FarMemory {
     }
 
     /// The remote backend (shard topology, per-shard ledgers and health).
-    pub fn backend(&self) -> &dyn RemoteBackend {
-        self.backend.as_ref()
+    pub fn backend(&self) -> &Sharded {
+        &self.backend
     }
 
     /// Number of remote nodes behind the runtime.
@@ -285,9 +285,8 @@ impl FarMemory {
 
     /// Reconciles the runtime's degraded flag for one shard with that
     /// shard's health tracker, emitting `Degraded`/`Recovered` transitions.
-    /// With a single-node backend this is the same signal as before the
-    /// backend refactor; with shards, each node degrades and recovers on
-    /// its own.
+    /// With one shard this is the whole link's signal; with several, each
+    /// node degrades and recovers on its own.
     fn sync_shard_health(&mut self, shard: usize, now: u64) {
         let health = self.backend.shard_health(shard);
         self.tel.timeline_shard(
@@ -1605,7 +1604,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_single_shard_matches_single_node_costs() {
+    fn one_shard_costs_are_pinned() {
         use tfm_net::BackendSpec;
         let run = |backend: BackendSpec| {
             let cfg = FarMemoryConfig {
@@ -1628,11 +1627,27 @@ mod tests {
             fm.evacuate_all(now);
             (*fm.stats(), fm.transfer_stats(), now)
         };
-        assert_eq!(
-            run(BackendSpec::single()),
-            run(BackendSpec::sharded(1)),
-            "one shard must be cost-identical to the single-node backend"
+        // The paper's one node behind one wire.
+        let pinned = (
+            RuntimeStats {
+                remote_fetches: 3,
+                prefetch_issued: 31,
+                prefetch_late: 29,
+                evictions: 32,
+                writebacks: 32,
+                peak_resident_bytes: 32768,
+                ..RuntimeStats::default()
+            },
+            TransferStats {
+                fetches: 34,
+                bytes_fetched: 139_264,
+                writebacks: 32,
+                bytes_written_back: 131_072,
+                ..TransferStats::default()
+            },
+            699_600,
         );
+        assert_eq!(run(BackendSpec::default()), pinned);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod state;
 mod stats;
 
 pub use alloc::{AllocError, RegionAllocator};
-pub use config::{FarMemoryConfig, PrefetchConfig, RetryPolicy};
+pub use config::{ConfigError, FarMemoryConfig, PrefetchConfig, RetryPolicy};
 pub use far_memory::FarMemory;
 pub use ptr::{ObjId, TfmPtr, OFFSET_MASK, TFM_BIT};
 pub use state::{StateTable, DIRTY, EVACUATING, HOT, INFLIGHT, PARTIAL, PRESENT, SAFETY_MASK};

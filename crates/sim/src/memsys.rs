@@ -38,7 +38,7 @@ pub struct MemSummary {
     /// Network ledger, if any (aggregated over shards).
     pub transfers: Option<TransferStats>,
     /// Per-shard ledgers and health, populated only for multi-node
-    /// backends (single-node summaries stay byte-identical to the
+    /// backends (one-shard summaries stay byte-identical to the
     /// pre-sharding format).
     pub shards: Vec<ShardSnapshot>,
 }

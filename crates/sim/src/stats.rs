@@ -154,7 +154,7 @@ pub struct RunResult {
     pub pager: Option<PagerStats>,
     /// Network ledger (all far-memory runs; aggregated over shards).
     pub transfers: Option<TransferStats>,
-    /// Per-shard ledgers and health; empty for single-node backends.
+    /// Per-shard ledgers and health; empty for one-shard backends.
     pub shards: Vec<ShardSnapshot>,
 }
 

@@ -101,7 +101,7 @@ impl RunConfig {
             telemetry: false,
             trace: TraceConfig::default(),
             faults: FaultPlan::none(),
-            backend: BackendSpec::SingleNode,
+            backend: BackendSpec::default(),
             cores: 1,
             engine: ExecEngine::TreeWalk,
         }
@@ -212,10 +212,9 @@ impl RunConfig {
         self
     }
 
-    /// Keeps `r` copies of every object across the sharded backend (crash
-    /// failover; `r = 1` is free, and the single-node backend is
-    /// unaffected). `r` may not exceed the shard count — the run panics
-    /// when it builds its runtime.
+    /// Keeps `r` copies of every object across the backend's shards (crash
+    /// failover; `r = 1` is free). `r` may not exceed the shard count — the
+    /// run panics when it builds its runtime.
     pub fn with_replicas(mut self, r: u32) -> Self {
         self.backend = self.backend.with_replicas(r);
         self
@@ -394,7 +393,7 @@ pub fn build_report(spec: &WorkloadSpec, cfg: &RunConfig, outcome: &Outcome) -> 
     if cfg.faults.is_active() {
         rep.push_meta("faults", cfg.faults);
     }
-    if !cfg.backend.is_single() {
+    if cfg.backend != BackendSpec::default() {
         rep.push_meta("backend", cfg.backend);
     }
     // Engine visibility is gated on actual bytecode activity so tree-walk

@@ -9,8 +9,9 @@
 //!    bit: same cycles, same counters, same rendered report.
 //! 3. **Determinism** — the same seed reproduces the identical failover
 //!    story: downs, recoveries, re-replications, per-shard epochs.
-//! 4. **Honest loss** — without replication a cold crash *does* lose
-//!    un-resynced state, and the audit says so instead of hiding it.
+//! 4. **Honest loss** — without replication (the one-node default
+//!    included) a cold crash *does* lose un-resynced state, and the audit
+//!    says so instead of hiding it.
 
 use trackfm_suite::net::{BackendSpec, FaultPlan, LinkParams, PlacementPolicy};
 use trackfm_suite::runtime::{FarMemory, FarMemoryConfig, ObjId};
@@ -276,4 +277,22 @@ fn workload_survives_cold_crash_with_zero_loss() {
     assert_eq!(again.result.stats, out.result.stats);
     assert_eq!(again.result.runtime, out.result.runtime);
     assert_eq!(again.result.shards, out.result.shards);
+}
+
+/// The paper's one node has no replica to fail over to: a cold restart
+/// wipes its store, and the acknowledged writebacks it held are counted
+/// lost instead of silently vanishing. A warm restart keeps the store, so
+/// its twin loses nothing. Either way the answer is unchanged.
+#[test]
+fn one_node_cold_crash_counts_its_lost_writebacks() {
+    let spec = spec();
+    let clean = execute(&spec, &RunConfig::trackfm(0.25));
+    let crash = |plan: FaultPlan| {
+        let out = execute(&spec, &RunConfig::trackfm(0.25).with_faults(plan));
+        assert_eq!(out.result.ret, clean.result.ret, "{plan:?}");
+        out.result.runtime.unwrap().lost_objects
+    };
+    let cold = crash(FaultPlan::none().with_cold_crash(100_000, 400_000));
+    assert!(cold > 0, "a cold one-node restart must report its loss");
+    assert_eq!(crash(FaultPlan::none().with_crash(100_000, 400_000)), 0);
 }

@@ -5,11 +5,15 @@
 //! 1. **Placement determinism** — shard assignment is a pure function of
 //!    `(key, shard_count, policy)`: the same object set lands on the same
 //!    shards run after run, so per-shard ledgers are reproducible.
-//! 2. **Single-shard identity** — `Sharded` with one shard is the degenerate
-//!    case of `SingleNode`, and a whole workload run costs exactly the same
-//!    under either spelling: same cycles, same counters, same ledger.
+//! 2. **One-node figures** — the default backend is one shard, the paper's
+//!    one node behind one wire; a whole workload run on it, spelled either
+//!    way, costs the pinned cycles, counters and transfer ledger.
 
-use trackfm_suite::net::{build_backend, BackendSpec, FaultPlan, LinkParams, PlacementPolicy};
+use trackfm_suite::net::{
+    build_backend, BackendSpec, FaultPlan, LinkParams, PlacementPolicy, TransferStats,
+};
+use trackfm_suite::runtime::RuntimeStats;
+use trackfm_suite::sim::ExecStats;
 use trackfm_suite::workloads::runner::{execute, RunConfig};
 use trackfm_suite::workloads::stream::{self, StreamParams};
 
@@ -59,44 +63,81 @@ fn repeated_runs_agree_on_every_shard_ledger() {
     assert_eq!(a.result.transfers.unwrap().bytes_fetched, total);
 }
 
-/// A full workload run under `sharded(1)` is cost-identical to
-/// `SingleNode`: same cycles, same runtime counters, same transfer ledger.
-#[test]
-fn one_shard_run_costs_exactly_what_single_node_does() {
-    let spec = spec();
-    let single = execute(&spec, &RunConfig::trackfm(0.25));
-    let sharded = execute(
-        &spec,
-        &RunConfig::trackfm(0.25).with_backend(BackendSpec::sharded(1)),
-    );
-    assert_eq!(sharded.result.ret, single.result.ret);
-    assert_eq!(sharded.result.stats, single.result.stats);
-    assert_eq!(sharded.result.runtime, single.result.runtime);
-    assert_eq!(sharded.result.transfers, single.result.transfers);
-    // The only visible difference: a sharded backend publishes no per-shard
-    // sections at count 1 either — it *is* the single-node world.
-    assert!(sharded.result.shards.is_empty());
+/// The pinned one-node figures of `spec()` at `RunConfig::trackfm(0.25)` on
+/// a flawless link.
+fn one_node_figures() -> (ExecStats, RuntimeStats, TransferStats) {
+    let exec = ExecStats {
+        cycles: 1_209_790,
+        instructions: 786_446,
+        loads: 65_536,
+        boundary_checks: 65_472,
+        locality_guards: 64,
+        stall_cycles: 63_399,
+        ..ExecStats::default()
+    };
+    let runtime = RuntimeStats {
+        remote_fetches: 1,
+        prefetch_issued: 63,
+        prefetch_hits: 62,
+        prefetch_late: 1,
+        evictions: 64,
+        writebacks: 12,
+        peak_resident_bytes: 64 << 10,
+        ..RuntimeStats::default()
+    };
+    let transfers = TransferStats {
+        fetches: 64,
+        bytes_fetched: 256 << 10,
+        writebacks: 12,
+        bytes_written_back: 48 << 10,
+        ..TransferStats::default()
+    };
+    (exec, runtime, transfers)
 }
 
-/// The identity holds under an active fault plan too: shard 0 keeps the
-/// plan's seed verbatim, so `sharded(1)` replays the exact same fault
-/// schedule as `SingleNode`.
+/// A full workload run on the one-shard default costs the pinned figures:
+/// same cycles, same runtime counters, same transfer ledger.
+#[test]
+fn one_shard_run_costs_exactly_what_single_node_does() {
+    let out = execute(&spec(), &RunConfig::trackfm(0.25));
+    let (exec, runtime, transfers) = one_node_figures();
+    assert_eq!(out.result.ret, 2_147_450_880);
+    assert_eq!(out.result.stats, exec);
+    assert_eq!(out.result.runtime, Some(runtime));
+    assert_eq!(out.result.transfers, Some(transfers));
+    // One shard publishes no per-shard sections.
+    assert!(out.result.shards.is_empty());
+}
+
+/// The pinned figures hold under an active fault plan too: shard 0 keeps
+/// the plan's seed verbatim, so the one-shard backend replays the one-node
+/// fault schedule.
 #[test]
 fn one_shard_identity_survives_fault_injection() {
-    let spec = spec();
     let plan = FaultPlan::drops(0xC0FFEE, 50_000).with_stalls(20_000, 9_000);
-    let single = execute(&spec, &RunConfig::trackfm(0.25).with_faults(plan));
-    let sharded = execute(
-        &spec,
-        &RunConfig::trackfm(0.25)
-            .with_faults(plan)
-            .with_backend(BackendSpec::sharded(1)),
-    );
-    assert_eq!(sharded.result.stats, single.result.stats);
-    assert_eq!(sharded.result.runtime, single.result.runtime);
-    assert_eq!(sharded.result.transfers, single.result.transfers);
-    assert!(
-        single.result.runtime.unwrap().link_faults > 0,
-        "plan must fire"
-    );
+    let (exec, runtime, transfers) = one_node_figures();
+    let exec = ExecStats {
+        cycles: 1_272_927,
+        stall_cycles: 126_536,
+        ..exec
+    };
+    let runtime = RuntimeStats {
+        prefetch_hits: 61,
+        prefetch_late: 2,
+        link_faults: 4,
+        retries: 1,
+        prefetch_canceled: 3,
+        ..runtime
+    };
+    let transfers = TransferStats {
+        faults: 4,
+        fault_wasted_bytes: 16 << 10,
+        delayed: 1,
+        delay_cycles: 9_000,
+        ..transfers
+    };
+    let out = execute(&spec(), &RunConfig::trackfm(0.25).with_faults(plan));
+    assert_eq!(out.result.stats, exec);
+    assert_eq!(out.result.runtime, Some(runtime));
+    assert_eq!(out.result.transfers, Some(transfers));
 }
